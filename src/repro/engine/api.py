@@ -10,6 +10,10 @@ Combines three layers of reuse:
   over the configured execution backend before the figures read
   anything).
 
+On top of the pipeline stages, :meth:`derive` stores one result that is
+a pure function of stored artifacts (a report section) under its own
+content key, so a warm rerun reads it instead of re-deriving it.
+
 ``ExperimentRunner`` delegates every pipeline step here, so all figure
 modules, the report generator, and the benchmark harness get caching
 and parallelism without code changes.
@@ -30,10 +34,15 @@ from repro.engine.tasks import (
     Task,
     build_pipeline_graph,
     key_fields,
+    pair_fingerprint,
     run_stage,
 )
 
 _MISS = object()
+
+#: Store stage of :meth:`Engine.derive` entries (``repro-cache stats
+#: --by-stage`` shows them as their own line).
+STAGE_DERIVE = "derive"
 
 
 class Engine:
@@ -166,6 +175,64 @@ class Engine:
         for task in chain[start:]:
             self._materialize(task, probed_miss=task.id in probed_missed)
         return self._memo[chain[-1].id]
+
+    # -- derived results ---------------------------------------------------
+
+    def derive_key(self, name: str, pairs) -> str | None:
+        """Store key of the derived result *name* over *pairs*, or
+        ``None`` when caching is off.
+
+        Keyed on each pair's source fingerprint and the clone size, and
+        (through :meth:`ArtifactStore.key_for`) on the schema version and
+        the toolchain fingerprint: any source or code change gives a new
+        key, the recipe the explorer's ``result_key`` follows.
+        """
+        if self.store is None:
+            return None
+        return self.store.key_for(
+            STAGE_DERIVE, name=name,
+            pairs=[[workload, input_name,
+                    pair_fingerprint(workload, input_name)]
+                   for workload, input_name in pairs],
+            target_instructions=self.target_instructions,
+        )
+
+    def has_derived(self, name: str, pairs) -> bool:
+        """Whether :meth:`derive` would serve *name* without computing
+        (an existence check; nothing is loaded)."""
+        key = self.derive_key(name, pairs)
+        return key is not None and (key in self._memo
+                                    or self.store.contains(key))
+
+    def derive(self, name: str, pairs, compute) -> Any:
+        """Memo → store → ``compute()``-and-put resolution of one derived
+        result, the way :meth:`_materialize` resolves a stage.
+
+        ``compute`` must be a pure function of *pairs*, the clone size
+        and stored artifacts.  With caching off it always runs.
+        """
+        key = self.derive_key(name, pairs)
+        if key is None:
+            return compute()
+        if key in self._memo:
+            return self._memo[key]
+        started = time.perf_counter()
+        value = self.store.get(key, _MISS)
+        hit = value is not _MISS
+        if not hit:
+            value = compute()
+            self.store.put(key, value, stage=STAGE_DERIVE,
+                           seconds=time.perf_counter() - started)
+        elapsed = time.perf_counter() - started
+        if self.metrics is not None:
+            self.metrics.count("engine_cache", tag="hit" if hit else "miss",
+                               label="outcome")
+        if self.tracer is not None:
+            self.tracer.add_span(f"{STAGE_DERIVE}:{name}", STAGE_DERIVE,
+                                 started - self.tracer.epoch_perf, elapsed,
+                                 {"outcome": "hit" if hit else "executed"})
+        self._memo[key] = value
+        return value
 
     # -- pipeline steps (the old ExperimentRunner surface) -----------------
 

@@ -5,9 +5,16 @@ the paper's evaluation section and writes a markdown report (used to
 produce EXPERIMENTS.md).  Figure scope mirrors the benchmark harness.
 
 Each figure is registered in :data:`FIGURES` together with the
-(pairs, ISA, opt-level) grid it reads, so the engine can materialize the
-whole grid up front — in parallel when ``workers > 1``, and from the
-persistent artifact store on warm runs.
+(pairs, ISA, opt-level) grid it reads.  Every section that is a pure
+function of stored artifacts (fig04-fig11, obfuscation, ablation) is
+*derived*: its ``run`` resolves one content-addressed ``derive`` entry
+in the artifact store (:meth:`repro.engine.Engine.derive`), keyed on the
+section name, each pair's source fingerprint, the clone size and the
+toolchain.  A warm rerun therefore reads one small pickle per section
+and re-derives nothing; only the sections whose entry is missing have
+their grid materialized up front, in parallel when ``workers > 1``.
+The results-DB sections (explore, history, search) are never stored:
+they read the mutable sweep history on every run.
 """
 
 from __future__ import annotations
@@ -231,6 +238,10 @@ class FigureSpec:
     #: (isa, opt_level) coordinates the figure measures both sides at —
     #: what Engine.warm prefetches before the figure executes.
     coords: tuple[tuple[str, int], ...]
+    #: Whether ``run`` is served from a derived store entry (see
+    #: :func:`_derived`); kept as a field so it survives callers that
+    #: wrap ``run`` with ``dataclasses.replace``.
+    derived: bool = False
 
     def effective_pairs(self, override=None) -> tuple:
         """The pair grid this figure reads under an optional override."""
@@ -239,45 +250,53 @@ class FigureSpec:
         return self.pairs
 
 
+def _derived(name: str, title: str, compute, pairs, coords) -> FigureSpec:
+    """A section that is a pure function of stored artifacts: its
+    ``run`` resolves the section's derived entry and calls *compute*
+    only on a miss.  The lookup sits inside ``run`` so that callers
+    wrapping ``run`` still see every result object."""
+    def run(runner: ExperimentRunner, pairs: tuple):
+        return runner.engine.derive(name, pairs,
+                                    lambda: compute(runner, pairs))
+
+    return FigureSpec(title, run, pairs, coords, derived=True)
+
+
 FIGURES: dict[str, FigureSpec] = {
-    "fig04": FigureSpec(
-        "Fig. 4 — dynamic instruction count reduction",
-        lambda r, pairs: run_fig04(r, pairs),
-        QUICK_PAIRS, ((_X86, 0),),
+    "fig04": _derived(
+        "fig04", "Fig. 4 — dynamic instruction count reduction",
+        run_fig04, QUICK_PAIRS, ((_X86, 0),),
     ),
-    "fig05": FigureSpec(
-        "Fig. 5 — normalized instruction count across -O0..-O3",
-        lambda r, pairs: run_fig05(r, pairs),
-        QUICK_PAIRS, tuple((_X86, level) for level in (0, 1, 2, 3)),
+    "fig05": _derived(
+        "fig05", "Fig. 5 — normalized instruction count across -O0..-O3",
+        run_fig05, QUICK_PAIRS,
+        tuple((_X86, level) for level in (0, 1, 2, 3)),
     ),
-    "fig06": FigureSpec(
-        "Fig. 6 — instruction mix at -O0 and -O2",
-        lambda r, pairs: run_fig06(r, pairs),
-        QUICK_PAIRS, ((_X86, 0), (_X86, 2)),
+    "fig06": _derived(
+        "fig06", "Fig. 6 — instruction mix at -O0 and -O2",
+        run_fig06, QUICK_PAIRS, ((_X86, 0), (_X86, 2)),
     ),
-    "fig07": FigureSpec(
-        "Fig. 7 — D-cache hit rates at -O0",
+    "fig07": _derived(
+        "fig07", "Fig. 7 — D-cache hit rates at -O0",
         lambda r, pairs: run_cache_figure(r, pairs, opt_level=0),
         CACHE_PAIRS, ((_X86, 0),),
     ),
-    "fig08": FigureSpec(
-        "Fig. 8 — D-cache hit rates at -O2",
+    "fig08": _derived(
+        "fig08", "Fig. 8 — D-cache hit rates at -O2",
         lambda r, pairs: run_cache_figure(r, pairs, opt_level=2),
         QUICK_PAIRS, ((_X86, 2),),
     ),
-    "fig09": FigureSpec(
-        "Fig. 9 — hybrid branch predictor accuracy",
-        lambda r, pairs: run_fig09(r, pairs),
-        QUICK_PAIRS, ((_X86, 0), (_X86, 2)),
+    "fig09": _derived(
+        "fig09", "Fig. 9 — hybrid branch predictor accuracy",
+        run_fig09, QUICK_PAIRS, ((_X86, 0), (_X86, 2)),
     ),
-    "fig10": FigureSpec(
-        "Fig. 10 — CPI on a 2-wide OoO core",
-        lambda r, pairs: run_fig10(r, pairs),
-        CPI_PAIRS, ((_X86, 0),),
+    "fig10": _derived(
+        "fig10", "Fig. 10 — CPI on a 2-wide OoO core",
+        run_fig10, CPI_PAIRS, ((_X86, 0),),
     ),
-    "fig11": FigureSpec(
-        "Fig. 11 — normalized time across machines/compilers",
-        lambda r, pairs: run_fig11(r, pairs),
+    "fig11": _derived(
+        "fig11", "Fig. 11 — normalized time across machines/compilers",
+        run_fig11,
         # fig11 drives its own per-machine compiles; through the runner
         # it only needs the reference profiles.
         MACHINE_PAIRS, ((_X86, 0),),
@@ -305,15 +324,13 @@ FIGURES: dict[str, FigureSpec] = {
         # Pure DB read: nothing to warm.
         (), (),
     ),
-    "obfuscation": FigureSpec(
-        "Obfuscation (§V-E) — Moss/JPlag similarity",
-        lambda r, pairs: run_obfuscation(r, pairs),
-        QUICK_PAIRS, ((_X86, 0),),
+    "obfuscation": _derived(
+        "obfuscation", "Obfuscation (§V-E) — Moss/JPlag similarity",
+        run_obfuscation, QUICK_PAIRS, ((_X86, 0),),
     ),
-    "ablation": FigureSpec(
-        "Ablation — SFGL vs linear-sequence baseline",
-        lambda r, pairs: run_ablation(r, pairs),
-        QUICK_PAIRS, ((_X86, 0),),
+    "ablation": _derived(
+        "ablation", "Ablation — SFGL vs linear-sequence baseline",
+        run_ablation, QUICK_PAIRS, ((_X86, 0),),
     ),
 }
 
@@ -336,18 +353,24 @@ def resolve_figures(names) -> tuple[str, ...]:
 
 def warm_figures(runner: ExperimentRunner, figures=None,
                  workers: int | None = None, pairs=None) -> int:
-    """Prefetch every (pair, ISA, opt) the selected figures will read.
+    """Prefetch the grid of the selected sections that must compute.
 
-    Grouped per pairs-set so one DAG covers all coordinates that share
-    the reference chain; returns the total number of graph nodes.
+    Only derived sections whose entry is missing add their (pair, ISA,
+    opt) grid: a stored section reads nothing else, ``explore``'s
+    ``run_sweep`` resumes from its results DB and warms its own missing
+    points as one graph, and the DB sections read no artifacts.  Grids
+    are grouped per pairs-set so one DAG covers all coordinates that
+    share the reference chain; returns the total number of graph nodes.
     *pairs* overrides every pair-reading figure's grid (the CLI's
-    ``--pairs``); pure-DB sections are unaffected.
+    ``--pairs``).
     """
     demands: dict[tuple, set] = {}
     for name in resolve_figures(figures):
         spec = FIGURES[name]
-        demands.setdefault(spec.effective_pairs(pairs),
-                           set()).update(spec.coords)
+        pair_set = spec.effective_pairs(pairs)
+        if not spec.derived or runner.engine.has_derived(name, pair_set):
+            continue
+        demands.setdefault(pair_set, set()).update(spec.coords)
     nodes = 0
     for pair_set, coords in demands.items():
         nodes += runner.warm(pair_set, sorted(coords), workers=workers)

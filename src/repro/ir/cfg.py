@@ -133,11 +133,12 @@ def find_natural_loops(cfg: ControlFlowGraph) -> list[Loop]:
     ordered outermost-first; each loop links to its parent/children.
     """
     dominators = compute_dominators(cfg)
-    reachable = set(dominators)
     loops_by_header: dict[str, Loop] = {}
-    for label in reachable:
+    # Reverse postorder (the dominators' key order), never set order: the
+    # loop list's order must not depend on the string-hash seed.
+    for label in dominators:
         for succ in cfg.successors[label]:
-            if succ in dominators.get(label, set()):
+            if succ in dominators[label]:
                 # label -> succ is a back edge; succ is the header.
                 loop = loops_by_header.setdefault(succ, Loop(header=succ))
                 loop.back_edges.append(label)

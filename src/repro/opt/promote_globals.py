@@ -200,8 +200,11 @@ def self_promote(func: IRFunction, loop, candidates: dict[str, str],
         for src_label, dst_label in exits:
             stub_label = f"gwb{stub_counter}.{src_label}"
             stub_counter += 1
+            # In candidate order, not set order: the emitted code must
+            # not depend on the interpreter's string-hash seed.
             stores = [
-                Store(temps[symbol], Address(symbol)) for symbol in written
+                Store(temp, Address(symbol))
+                for symbol, temp in temps.items() if symbol in written
             ]
             stub = BasicBlockRef(stub_label, stores + [Jump(dst_label)])
             src_block = next(b for b in func.blocks if b.label == src_label)
