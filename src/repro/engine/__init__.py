@@ -9,23 +9,20 @@ Three pieces:
   paper's pipeline as a DAG of pure stages plus a topological scheduler
   that drives a pluggable execution backend;
 * :mod:`repro.engine.backends` — where stages run: ``inline``,
-  ``thread``, ``process``, ``shard`` (isolated subprocess shards
-  synced through the store), or ``auto`` (cost-routed composite:
-  cheap replays to threads, heavy compiles to processes), selected via
-  ``--backend`` / ``REPRO_BACKEND`` / ``Engine(backend=...)``;
+  ``process``, or ``shard`` (isolated subprocess shards synced through
+  the store), selected via ``--backend`` / ``REPRO_BACKEND`` /
+  ``Engine(backend=...)``;
 * :mod:`repro.engine.api` — the :class:`Engine` facade that
   ``ExperimentRunner`` and the report/benchmark harnesses delegate to.
 """
 
 from repro.engine.api import DEFAULT_TARGET_INSTRUCTIONS, Engine
 from repro.engine.backends import (
-    AutoBackend,
     BACKEND_ENV,
     ExecutionBackend,
     InlineBackend,
     ProcessPoolBackend,
     SubprocessShardBackend,
-    ThreadBackend,
     backend_names,
     register_backend,
     resolve_backend,
@@ -44,7 +41,6 @@ from repro.engine.tasks import Task, build_pipeline_graph
 
 __all__ = [
     "ArtifactStore",
-    "AutoBackend",
     "BACKEND_ENV",
     "CACHE_DIR_ENV",
     "DEFAULT_TARGET_INSTRUCTIONS",
@@ -57,7 +53,6 @@ __all__ = [
     "StoreStats",
     "SubprocessShardBackend",
     "Task",
-    "ThreadBackend",
     "backend_names",
     "build_pipeline_graph",
     "canonical_key",

@@ -64,7 +64,7 @@ class Engine:
         self.target_instructions = target_instructions
         self.workers = max(1, workers)
         #: Execution backend for bulk runs: an ExecutionBackend
-        #: instance, a registered name (inline/thread/process/shard),
+        #: instance, a registered name (inline/process/shard),
         #: or None — resolved per warm() against $REPRO_BACKEND and the
         #: worker count (see repro.engine.backends).
         self.backend = backend

@@ -1,21 +1,21 @@
 """repro.engine.backends — pluggable execution backends.
 
 The scheduler delegates *where* stages run to an
-:class:`ExecutionBackend`; five ship in-tree:
+:class:`ExecutionBackend`; three ship in-tree, and all three pass one
+conformance suite (identical results, store digests and metrics
+snapshots):
 
 ========= ============================================================
 name      execution model
 ========= ============================================================
-inline    synchronous, deterministic sorted-ready order (workers=1)
-thread    thread pool — warm-replay / I/O-bound graphs, no pickling
+inline    synchronous, deterministic sorted-ready order (workers=1,
+          and the serve daemon's default: each job's graph runs on
+          that job's own thread)
 process   multiprocessing pool, worker-side persistence (historical
           ``workers>1`` behavior)
 shard     dependency-closed shards in isolated
           ``python -m repro.engine.shard`` subprocesses, each with a
           private store, merged via export_keys/import_keys
-auto      cost-aware composite: per-stage compute estimates
-          (``tasks.STAGE_COSTS``) vs pool ``dispatch_cost`` route
-          cheap replays to threads, heavy compiles to processes
 ========= ============================================================
 
 Select with ``--backend NAME`` on the CLIs, the ``REPRO_BACKEND``
@@ -28,6 +28,7 @@ from repro.engine.backends.base import (
     ExecutionBackend,
     ExecutionContext,
     backend_names,
+    check_backend_env,
     default_backend_name,
     get_backend,
     register_backend,
@@ -36,9 +37,7 @@ from repro.engine.backends.base import (
 from repro.engine.backends.local import (
     InlineBackend,
     ProcessPoolBackend,
-    ThreadBackend,
 )
-from repro.engine.backends.auto import AutoBackend
 from repro.engine.backends.shard import (
     ShardError,
     SubprocessShardBackend,
@@ -47,7 +46,6 @@ from repro.engine.backends.shard import (
 )
 
 __all__ = [
-    "AutoBackend",
     "BACKEND_ENV",
     "ExecutionBackend",
     "ExecutionContext",
@@ -55,9 +53,9 @@ __all__ = [
     "ProcessPoolBackend",
     "ShardError",
     "SubprocessShardBackend",
-    "ThreadBackend",
     "backend_names",
     "balance_shards",
+    "check_backend_env",
     "default_backend_name",
     "get_backend",
     "partition_components",

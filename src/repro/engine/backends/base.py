@@ -1,7 +1,7 @@
 """The :class:`ExecutionBackend` contract and the backend registry.
 
-A backend owns *how* task stages execute — in-process, on a thread or
-process pool, or in isolated shard subprocesses — while the scheduler
+A backend owns *how* task stages execute — in-process, on a process
+pool, or in isolated shard subprocesses — while the scheduler
 (:func:`repro.engine.scheduler.run_graph`) keeps owning *what* runs:
 topological ordering, cache probing, dependency resolution, and store
 accounting.  The split is the seam remote/distributed execution plugs
@@ -28,14 +28,6 @@ Capability flags refine how the scheduler drives a backend:
   ``execute_graph`` (sharded/remote backends that partition work);
   ``submit`` is never called.
 
-``dispatch_cost`` is the contract's scheduling hint: the relative
-per-task overhead of handing work to this backend (thread handoff ≪
-pickling to a process pool ≪ spawning a shard subprocess), on a scale
-where process-pool dispatch is 1.0.  Cost-aware composites — the
-``auto`` backend — compare it against the scheduler's per-stage cost
-table (:data:`repro.engine.tasks.STAGE_COSTS`) so a stage cheaper than
-a pool's dispatch overhead is never shipped to that pool.
-
 Selection
 ---------
 
@@ -43,7 +35,10 @@ Backends register by name (:func:`register_backend`).  Resolution order
 for :func:`resolve_backend`: an explicit instance or name, the
 ``REPRO_BACKEND`` environment variable, then the default — ``inline``
 for ``workers <= 1`` (preserving deterministic serial semantics),
-``process`` otherwise (the historical multiprocessing fan-out).
+``process`` otherwise (the historical multiprocessing fan-out).  An
+unknown name raises :class:`KeyError` listing the registered ones; the
+CLIs check ``REPRO_BACKEND`` up front (:func:`check_backend_env`) and
+report a bad value as a usage error.
 """
 
 from __future__ import annotations
@@ -110,8 +105,6 @@ class ExecutionBackend(ABC):
     persists: ClassVar[bool] = False
     #: The backend executes whole graphs (``execute_graph``), not tasks.
     whole_graph: ClassVar[bool] = False
-    #: Relative per-task dispatch overhead (process-pool dispatch = 1.0).
-    dispatch_cost: ClassVar[float] = 1.0
 
     def __init__(self, workers: int = 1) -> None:
         self.workers = max(1, int(workers))
@@ -185,6 +178,14 @@ def default_backend_name(workers: int = 1) -> str:
     if env:
         return env
     return "inline" if workers <= 1 else "process"
+
+
+def check_backend_env() -> None:
+    """Raise :func:`get_backend`'s :class:`KeyError` when
+    ``$REPRO_BACKEND`` names no registered backend (a no-op when unset)."""
+    name = os.environ.get(BACKEND_ENV)
+    if name:
+        get_backend(name)
 
 
 def resolve_backend(backend: "ExecutionBackend | str | None" = None,

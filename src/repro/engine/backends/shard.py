@@ -94,7 +94,6 @@ class SubprocessShardBackend(ExecutionBackend):
     name = "shard"
     whole_graph = True
     persists = True  # shards persist; the parent imports their exports
-    dispatch_cost = 25.0  # subprocess spawn + pickle round trip
 
     def submit(self, task: Task, deps: dict[str, Any]):
         raise RuntimeError(

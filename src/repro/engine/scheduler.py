@@ -4,15 +4,11 @@
 order.  The scheduler owns ordering, cache probing, dependency
 resolution, and store accounting; *where* stages run belongs to an
 :class:`~repro.engine.backends.ExecutionBackend` (``inline``,
-``thread``, ``process``, ``shard``, or anything registered by a third
-party).  ``workers=1`` with no explicit backend resolves to the inline
-backend and stays byte-for-byte deterministic (Kahn + sorted-ready
-order); ``workers>1`` defaults to the process pool, the historical
-fan-out, unless ``REPRO_BACKEND`` or the ``backend`` argument says
-otherwise.  The scheduler's per-stage cost table lives in
-:data:`repro.engine.tasks.STAGE_COSTS`; cost-aware backends (``auto``)
-compare it against each pool's ``dispatch_cost`` to route cheap warm
-replays to threads and heavy compiles to processes.
+``process``, ``shard``, or anything registered by a third party).
+``workers=1`` with no explicit backend resolves to the inline backend
+and stays byte-for-byte deterministic (Kahn + sorted-ready order);
+``workers>1`` defaults to the process pool, the historical fan-out,
+unless ``REPRO_BACKEND`` or the ``backend`` argument says otherwise.
 
 Cache discipline: the parent consults the store once per node before
 dispatch (a hit skips execution entirely and counts toward
@@ -133,7 +129,7 @@ def run_graph(
 
     *backend* selects where stages run: an
     :class:`~repro.engine.backends.ExecutionBackend` instance, a
-    registered name (``inline``/``thread``/``process``/``shard``), or
+    registered name (``inline``/``process``/``shard``), or
     ``None`` for the default (``$REPRO_BACKEND``, else inline when
     ``workers <= 1``, else the process pool).
 

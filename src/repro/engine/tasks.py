@@ -25,11 +25,6 @@ itself (for execution) while its content-address uses
 :meth:`MachineSpec.fingerprint` — so a replay's key is computable
 without the trace in hand, exactly like every other stage, and a
 design-space sweep's hot path caches and fans out like any other node.
-
-:data:`STAGE_COSTS` is the scheduler's per-stage cost table: a relative
-estimate of each stage's compute weight, which cost-aware backends (the
-``auto`` composite) compare against a pool's ``dispatch_cost`` to route
-cheap warm replays to threads and heavy compiles to processes.
 """
 
 from __future__ import annotations
@@ -65,31 +60,6 @@ STAGES = (
     STAGE_RUN_CLONE,
     STAGE_REPLAY,
 )
-
-#: Relative compute weight per stage — the scheduler's cost table.
-#: Units are arbitrary; what matters is the ordering and the comparison
-#: against a backend pool's ``dispatch_cost`` (process-pool dispatch is
-#: the 1.0 reference point).  A stage cheaper than a pool's dispatch
-#: overhead should not be shipped to that pool: that is the whole
-#: routing rule of the ``auto`` backend.
-STAGE_COSTS: dict[str, float] = {
-    STAGE_COMPILE: 20.0,
-    STAGE_RUN: 15.0,
-    STAGE_PROFILE: 5.0,
-    STAGE_SYNTHESIZE: 25.0,
-    STAGE_COMPILE_CLONE: 8.0,
-    STAGE_RUN_CLONE: 4.0,
-    STAGE_REPLAY: 0.5,
-}
-
-#: Cost assumed for stages the table doesn't know (third-party graphs):
-#: heavy, so unknown work lands on the isolating pool, never a thread.
-DEFAULT_STAGE_COST = 10.0
-
-
-def stage_cost(stage: str) -> float:
-    """Estimated relative compute weight of *stage* (see STAGE_COSTS)."""
-    return STAGE_COSTS.get(stage, DEFAULT_STAGE_COST)
 
 
 @dataclass(frozen=True)

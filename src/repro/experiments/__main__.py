@@ -20,7 +20,7 @@ import os
 import sys
 
 from repro.engine.api import DEFAULT_TARGET_INSTRUCTIONS, Engine
-from repro.engine.backends import BACKEND_ENV, backend_names
+from repro.engine.backends import BACKEND_ENV, backend_names, check_backend_env
 from repro.sim.fastexec import EXEC_CHOICES
 from repro.sim.kernels import KERNEL_CHOICES
 from repro.experiments.report import FIGURES, generate_report, resolve_figures
@@ -57,8 +57,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--backend", default=None, choices=backend_names(),
         help=f"execution backend (default: ${BACKEND_ENV}, else inline "
-             "for --workers 1, process otherwise; 'auto' cost-routes "
-             "cheap replays to threads and heavy compiles to processes)",
+             "for --workers 1, process otherwise)",
     )
     parser.add_argument(
         "--target-instructions", type=int,
@@ -101,6 +100,10 @@ def main(argv=None) -> int:
              "byte-identical either way)",
     )
     args = parser.parse_args(argv)
+    try:
+        check_backend_env()
+    except KeyError as exc:
+        parser.error(f"${BACKEND_ENV}: {exc.args[0]}")
     if args.sim_kernel:
         # Exported rather than threaded through the engine: the env var
         # is the kernels' own selection channel and it reaches worker

@@ -30,7 +30,7 @@ import time
 from pathlib import Path
 
 from repro.engine.api import DEFAULT_TARGET_INSTRUCTIONS, Engine
-from repro.engine.backends import BACKEND_ENV, backend_names
+from repro.engine.backends import BACKEND_ENV, backend_names, check_backend_env
 from repro.engine.store import CACHE_DIR_ENV
 from repro.explore.db import RESULTS_DB_ENV, ResultsDB, pareto_front
 from repro.explore.search import DEFAULT_BUDGET, STRATEGIES, run_search
@@ -314,8 +314,7 @@ def main(argv=None) -> int:
         cmd.add_argument("--backend", default=None, choices=backend_names(),
                          help=f"execution backend (default: ${BACKEND_ENV}, "
                               "else inline for --workers 1, process "
-                              "otherwise; 'auto' cost-routes cheap replays "
-                              "to threads and heavy compiles to processes)")
+                              "otherwise)")
         cmd.add_argument("--target-instructions", type=int,
                          default=DEFAULT_TARGET_INSTRUCTIONS)
         cmd.add_argument("--cache-dir", default=None,
@@ -439,6 +438,10 @@ def main(argv=None) -> int:
             _parse_pairs(args.pairs)
         except UnknownWorkloadError as exc:
             parser.error(str(exc))
+        try:
+            check_backend_env()
+        except KeyError as exc:
+            parser.error(f"${BACKEND_ENV}: {exc.args[0]}")
     if args.command == "run":
         # Mirror DesignSpace.sample's uniform validation as usage errors.
         if args.seed is not None and args.sample != "random":

@@ -19,8 +19,8 @@ failures.
 Besides scored points, the file carries the ``stage_costs`` table:
 append-only measured per-stage wall-clock observations (written by the
 serve daemon's timing hook) that the
-:class:`~repro.serve.costs.CostModel` learns dispatch and admission
-costs from.
+:class:`~repro.serve.costs.CostModel` learns its per-stage estimates
+from.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ _INDEX_SQL = "CREATE INDEX IF NOT EXISTS idx_results_sweep ON results(sweep);"
 
 #: Append-only measured stage wall-clock observations — the history
 #: the serve layer's :class:`~repro.serve.costs.CostModel` learns
-#: dispatch/admission costs from.  One row per executed stage.
-_STAGE_COSTS_SQL = """
+#: per-stage estimates from.  One row per executed stage.
+_COSTS_SQL = """
 CREATE TABLE IF NOT EXISTS stage_costs (
     id INTEGER PRIMARY KEY AUTOINCREMENT,
     stage TEXT NOT NULL,
@@ -88,7 +88,7 @@ CREATE TABLE IF NOT EXISTS stage_costs (
     toolchain TEXT NOT NULL DEFAULT ''
 );
 """
-_STAGE_COSTS_INDEX_SQL = (
+_COSTS_INDEX_SQL = (
     "CREATE INDEX IF NOT EXISTS idx_stage_costs_stage "
     "ON stage_costs(stage);"
 )
@@ -183,8 +183,8 @@ class ResultsDB:
         with self._conn:
             self._conn.execute(_TABLE_SQL)
             self._conn.execute(_INDEX_SQL)
-            self._conn.execute(_STAGE_COSTS_SQL)
-            self._conn.execute(_STAGE_COSTS_INDEX_SQL)
+            self._conn.execute(_COSTS_SQL)
+            self._conn.execute(_COSTS_INDEX_SQL)
 
     def close(self) -> None:
         self._conn.close()
@@ -214,19 +214,6 @@ class ResultsDB:
                     record.schema_version,
                     record.toolchain,
                 ),
-            )
-
-    def record_stage_cost(self, stage: str, seconds: float,
-                          toolchain: str = "",
-                          created_at: float | None = None) -> None:
-        """Append one measured stage wall-clock observation."""
-        with self._conn:
-            self._conn.execute(
-                "INSERT INTO stage_costs (stage, seconds, created_at, "
-                "toolchain) VALUES (?, ?, ?, ?)",
-                (stage, float(seconds),
-                 created_at if created_at is not None else time.time(),
-                 toolchain),
             )
 
     def record_stage_costs(self, observations, toolchain: str = "") -> int:

@@ -5,8 +5,8 @@ submissions normalize to canonical job keys, concurrent overlapping
 requests coalesce onto shared in-flight work (whole jobs *and*
 individual graph nodes), per-client token buckets keep floods polite,
 and measured per-stage wall-clock feeds a learned
-:class:`~repro.serve.costs.CostModel` that drives both backend routing
-(``auto``'s thread-vs-process threshold) and admission estimates.
+:class:`~repro.serve.costs.CostModel` behind each submission's
+estimated seconds.
 
 Start it with ``repro-serve`` (or ``python -m repro.serve``); talk to
 it with :class:`~repro.serve.client.ServeClient` or plain curl.
@@ -14,7 +14,7 @@ it with :class:`~repro.serve.client.ServeClient` or plain curl.
 
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.coalesce import Coalescer, CoalescingRunner, KeyedMutex
-from repro.serve.costs import CostModel, UNIT_SECONDS
+from repro.serve.costs import CostModel
 from repro.serve.jobs import (
     BadRequest,
     Job,
@@ -48,7 +48,6 @@ __all__ = [
     "ServeClient",
     "ServeError",
     "TokenBucket",
-    "UNIT_SECONDS",
     "estimate_stages",
     "job_key",
     "normalize_request",

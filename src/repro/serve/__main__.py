@@ -11,6 +11,8 @@ import asyncio
 import json
 import sys
 
+from repro.engine.backends import BACKEND_ENV, backend_names, check_backend_env
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -25,11 +27,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--port", type=int, default=8023,
                      help="0 picks a free port (printed on startup)")
     run.add_argument("--workers", type=int, default=2,
-                     help="engine workers per job graph")
-    run.add_argument("--backend", default="thread",
-                     help="execution backend (inline/thread/process/"
-                          "shard/auto); in-process backends coalesce "
-                          "at node granularity")
+                     help="engine workers per job graph (only with "
+                          "--backend process|shard)")
+    run.add_argument("--backend", default="inline", choices=backend_names(),
+                     help="execution backend (default: inline, where "
+                          "overlapping jobs coalesce at node granularity "
+                          "and --max-inflight sets the concurrency)")
     run.add_argument("--cache-dir", default=None,
                      help="artifact store root (default: REPRO_CACHE_DIR)")
     run.add_argument("--db", default=None, dest="db_path",
@@ -125,8 +128,13 @@ def main(argv=None) -> int:
     if not argv or argv[0] not in ("run", "submit", "stats",
                                    "-h", "--help"):
         argv = ["run"] + argv
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "run":
+        try:
+            check_backend_env()
+        except KeyError as exc:
+            parser.error(f"${BACKEND_ENV}: {exc.args[0]}")
         return _serve(args)
     if args.command == "submit":
         return _submit(args)

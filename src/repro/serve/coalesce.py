@@ -16,11 +16,11 @@ Two layers, both content-addressed:
   everyone else's probe hits.  One compile serves every waiter, even
   across different job kinds.
 
-The node layer lives in the daemon's address space, so it covers the
-in-process backends the daemon runs (``inline``/``thread``/``auto``'s
-thread side).  Stages a backend ships to worker processes fall back to
-the store's last-write-wins atomicity — still correct, at worst
-duplicated effort.
+The node layer lives in the daemon's address space, so it covers
+``inline``, the daemon's default backend, on which every job runs its
+graph in its own job thread.  Stages a ``process`` or ``shard`` backend
+ships to worker processes fall back to the store's last-write-wins
+atomicity — still correct, at worst duplicated effort.
 """
 
 from __future__ import annotations

@@ -1,40 +1,47 @@
-"""Learned stage costs: EWMA over measured history, static-table cold.
+"""Learned stage costs: EWMA over measured history, priors when cold.
 
-The engine's static :data:`repro.engine.tasks.STAGE_COSTS` table is a
-hand-estimated prior in relative units where process-pool dispatch is
-the 1.0 reference point.  :class:`CostModel` replaces the estimate with
-measurement: every executed stage's wall-clock (captured by the
-scheduler/engine timing hook) feeds an exponentially-weighted moving
-average per stage, persisted to the results DB's ``stage_costs`` table
-so a restarted daemon resumes warm.
+:class:`CostModel` estimates how long a job's stages take.  Every
+executed stage's wall-clock (captured by the engine's ``on_timing``
+hook) feeds an exponentially-weighted moving average per stage,
+persisted to the results DB's ``stage_costs`` table so a restarted
+daemon resumes warm.  Below :data:`MIN_SAMPLES` observations for a
+stage the model answers from :data:`PRIOR_SECONDS` instead, so a cold
+daemon *degrades to*, never *depends on*, measurement.
 
-Unit bridge: measured seconds divide by :data:`UNIT_SECONDS` — the
-assumed wall-clock of one process-pool dispatch (pickle + IPC round
-trip), i.e. of 1.0 static-table unit — so learned and static costs stay
-comparable and either can be tested against a backend's
-``dispatch_cost``.  Below :data:`MIN_SAMPLES` observations for a stage
-the model answers from the static table, so a cold daemon routes
-exactly like the static ``auto`` backend and *degrades to*, never
-*depends on*, measurement.
-
-Consumers:
-
-* :class:`repro.engine.backends.auto.AutoBackend` — pass
-  ``cost_model=`` and the thread/process routing threshold follows
-  measured history instead of the static table;
-* the serve daemon's admission control — estimated job seconds
-  (:meth:`CostModel.estimate_seconds`) bound how much queued work is
-  admitted before new submissions see 429s.
+The serve daemon computes :meth:`CostModel.estimate_seconds` for every
+submission, logs it, and returns it as ``estimated_seconds`` in the 202
+reply; ``/v1/stats`` shows the per-stage figures behind it.  The
+estimate does not gate admission: that is bounded by the per-client
+quota, ``--queue-limit`` and ``--max-inflight`` alone.
 """
 
 from __future__ import annotations
 
 import threading
 
-from repro.engine.tasks import STAGE_COSTS, stage_cost
+from repro.engine.tasks import (
+    STAGE_COMPILE,
+    STAGE_COMPILE_CLONE,
+    STAGE_PROFILE,
+    STAGE_REPLAY,
+    STAGE_RUN,
+    STAGE_RUN_CLONE,
+    STAGE_SYNTHESIZE,
+)
 
-#: Assumed seconds per static cost unit (one process-pool dispatch).
-UNIT_SECONDS = 0.01
+#: Cold-stage estimate in seconds, per pipeline stage.
+PRIOR_SECONDS: dict[str, float] = {
+    STAGE_COMPILE: 0.2,
+    STAGE_RUN: 0.15,
+    STAGE_PROFILE: 0.05,
+    STAGE_SYNTHESIZE: 0.25,
+    STAGE_COMPILE_CLONE: 0.08,
+    STAGE_RUN_CLONE: 0.04,
+    STAGE_REPLAY: 0.005,
+}
+
+#: Cold estimate for a stage :data:`PRIOR_SECONDS` does not list.
+DEFAULT_PRIOR_SECONDS = 0.1
 
 #: EWMA weight of the newest observation.
 DEFAULT_ALPHA = 0.3
@@ -47,25 +54,18 @@ HISTORY_LIMIT = 2048
 
 
 class CostModel:
-    """Per-stage execution-cost estimator with measured-history EWMA.
+    """Per-stage execution-time estimator with measured-history EWMA.
 
-    Thread-safe: ``observe`` is called from scheduler harvest loops and
-    engine worker threads, ``cost``/``estimate_seconds`` from the
-    daemon's routing and admission paths.
+    Thread-safe: ``observe`` is called from engine worker threads,
+    ``estimate_seconds`` from the daemon's submission path.
     """
 
     def __init__(self, db=None, alpha: float = DEFAULT_ALPHA,
-                 unit_seconds: float = UNIT_SECONDS,
-                 min_samples: int = MIN_SAMPLES,
-                 static: dict[str, float] | None = None) -> None:
+                 min_samples: int = MIN_SAMPLES) -> None:
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha!r}")
-        if unit_seconds <= 0:
-            raise ValueError("unit_seconds must be positive")
         self.alpha = alpha
-        self.unit_seconds = unit_seconds
         self.min_samples = max(1, int(min_samples))
-        self._static = dict(static) if static is not None else None
         #: Optional ResultsDB handle; observations persist to its
         #: stage_costs table so history survives daemon restarts.
         self._db = db
@@ -96,7 +96,7 @@ class CostModel:
         with self._lock:
             self._fold(stage, seconds)
         if persist and self._db is not None:
-            self._db.record_stage_cost(stage, seconds)
+            self._db.record_stage_costs([(stage, seconds)])
 
     def warm_start(self, db, limit: int = HISTORY_LIMIT) -> int:
         """Replay persisted ``stage_costs`` history (oldest first) into
@@ -121,48 +121,32 @@ class CostModel:
                 return None
             return self._ewma[stage]
 
-    def cost(self, stage: str) -> float:
-        """Relative cost of *stage* in static-table units (process-pool
-        dispatch = 1.0): learned when warm, static-table prior when
-        cold.  Drop-in for :func:`repro.engine.tasks.stage_cost`."""
-        learned = self.seconds(stage)
-        if learned is not None:
-            return learned / self.unit_seconds
-        if self._static is not None:
-            return self._static.get(stage, stage_cost(stage))
-        return stage_cost(stage)
-
     def estimate_seconds(self, stages) -> float:
         """Estimated total wall-clock of executing *stages* (an iterable
-        of stage names, repeats allowed) — the admission-control
-        currency.  Cold stages fall back to static units × unit
-        seconds."""
+        of stage names, repeats allowed): learned seconds for warm
+        stages, :data:`PRIOR_SECONDS` for cold ones."""
         total = 0.0
         for stage in stages:
             learned = self.seconds(stage)
             total += learned if learned is not None else \
-                self.cost(stage) * self.unit_seconds
+                PRIOR_SECONDS.get(stage, DEFAULT_PRIOR_SECONDS)
         return total
 
     def snapshot(self) -> dict[str, dict]:
-        """Per-stage ``{"samples", "ewma_seconds", "cost", "source"}``
-        for every stage seen or statically known — the ``/v1/stats``
-        payload."""
+        """Per-stage ``{"samples", "ewma_seconds", "seconds", "source"}``
+        for every stage seen or given a prior — the ``/v1/stats``
+        payload; ``seconds`` is what :meth:`estimate_seconds` charges."""
         with self._lock:
-            known = set(self._ewma) | set(STAGE_COSTS) | \
-                set(self._static or ())
             out = {}
-            for stage in sorted(known):
+            for stage in sorted(set(self._ewma) | set(PRIOR_SECONDS)):
                 count = self._counts.get(stage, 0)
                 warm = count >= self.min_samples
                 ewma = self._ewma.get(stage)
-                cost = (ewma / self.unit_seconds) if warm else (
-                    (self._static or STAGE_COSTS).get(stage,
-                                                      stage_cost(stage)))
                 out[stage] = {
                     "samples": count,
                     "ewma_seconds": ewma,
-                    "cost": cost,
+                    "seconds": ewma if warm else
+                    PRIOR_SECONDS.get(stage, DEFAULT_PRIOR_SECONDS),
                     "source": "learned" if warm else "static",
                 }
             return out

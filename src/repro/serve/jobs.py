@@ -231,8 +231,8 @@ def job_key(kind: str, params: dict) -> str:
 
 
 def estimate_stages(kind: str, params: dict) -> list[str]:
-    """The pipeline stages the job would execute cold — the admission
-    controller prices these through the :class:`CostModel`.
+    """The pipeline stages the job would execute cold — priced through
+    the :class:`CostModel` into the submission's ``estimated_seconds``.
 
     Exact (graph-derived) for figure/warm/replay; for sweep/search an
     upper-bound estimate from the space size or budget.

@@ -37,7 +37,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.engine.api import Engine
-from repro.engine.backends import resolve_backend
+from repro.engine.backends import get_backend
 from repro.engine.store import ArtifactStore
 from repro.obs.log import StructuredLogger
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry
@@ -78,7 +78,7 @@ class ServeApp:
         cache_dir=None,
         db_path=None,
         workers: int = 2,
-        backend: str | None = "thread",
+        backend: str | None = "inline",
         quota_rate: float | None = None,
         quota_burst: float | None = None,
         max_inflight: int = 4,
@@ -101,15 +101,11 @@ class ServeApp:
         runner = CoalescingRunner(self.store, _default_runner(),
                                   _default_keyer(), mutex=self.mutex)
         self.node_coalescer = runner
-        resolved = resolve_backend(backend, workers=workers) \
-            if backend is not None else None
-        if resolved is not None and hasattr(resolved, "cost_model") \
-                and resolved.cost_model is None:
-            # The auto backend routes thread-vs-process through learned
-            # costs once history exists.
-            resolved.cost_model = self.cost_model
+        if backend is not None:
+            get_backend(backend)  # fail at startup, not on the first job
+        # By name, so each job's graph resolves its own backend instance.
         self.engine = Engine(workers=workers, store=self.store,
-                             backend=resolved, runner=runner,
+                             backend=backend, runner=runner,
                              on_timing=self._on_timing)
 
         self.jobs = JobRegistry()
@@ -137,7 +133,7 @@ class ServeApp:
 
     def _warm_start_costs(self) -> None:
         """Replay persisted stage history into the cost model, so a
-        restarted daemon routes and admits from day one."""
+        restarted daemon estimates from measurement from day one."""
         from repro.explore.db import ResultsDB
 
         try:

@@ -4,7 +4,7 @@ Every registered execution backend must produce the same results — and
 byte-identical store artifacts — for the same graph: the diamond DAG,
 a multi-component graph (what the shard backend actually partitions),
 cold-vs-warm replay, and error propagation are exercised across all
-four in-tree backends through the one scheduler entry point.
+three in-tree backends through the one scheduler entry point.
 """
 
 import hashlib
@@ -13,13 +13,11 @@ from pathlib import Path
 import pytest
 
 from repro.engine.backends import (
-    AutoBackend,
     BACKEND_ENV,
     ExecutionBackend,
     InlineBackend,
     ProcessPoolBackend,
     SubprocessShardBackend,
-    ThreadBackend,
     backend_names,
     balance_shards,
     default_backend_name,
@@ -29,15 +27,9 @@ from repro.engine.backends import (
 )
 from repro.engine.scheduler import run_graph
 from repro.engine.store import ArtifactStore
-from repro.engine.tasks import (
-    DEFAULT_STAGE_COST,
-    STAGE_COMPILE,
-    STAGE_REPLAY,
-    Task,
-    stage_cost,
-)
+from repro.engine.tasks import Task
 
-BACKENDS = ("inline", "thread", "process", "shard", "auto")
+BACKENDS = ("inline", "process", "shard")
 
 
 def _graph(*tasks: Task) -> dict[str, Task]:
@@ -204,7 +196,7 @@ class TestMetricsParity:
             assert snapshots[backend] == baseline, backend
 
     def test_volatile_metrics_present_but_excluded(self, tmp_path):
-        registry = self._run("thread", tmp_path)
+        registry = self._run("inline", tmp_path)
         full = {e["name"] for e in registry.snapshot()["metrics"]}
         stable = {e["name"] for e in
                   registry.snapshot(include_volatile=False)["metrics"]}
@@ -215,7 +207,7 @@ class TestMetricsParity:
 
 class TestResolution:
     def test_registry_names(self):
-        assert set(BACKENDS) <= set(backend_names())
+        assert backend_names() == BACKENDS
 
     def test_workers_one_defaults_to_inline(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
@@ -228,16 +220,16 @@ class TestResolution:
                           ProcessPoolBackend)
 
     def test_env_var_wins(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "thread")
-        assert isinstance(resolve_backend(None, workers=4), ThreadBackend)
+        monkeypatch.setenv(BACKEND_ENV, "inline")
+        assert isinstance(resolve_backend(None, workers=4), InlineBackend)
 
     def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "thread")
+        monkeypatch.setenv(BACKEND_ENV, "process")
         assert isinstance(resolve_backend("shard", workers=2),
                           SubprocessShardBackend)
 
     def test_instance_passes_through(self):
-        backend = ThreadBackend(workers=3)
+        backend = ProcessPoolBackend(workers=3)
         assert resolve_backend(backend, workers=1) is backend
 
     def test_unknown_name_lists_available(self):
@@ -261,13 +253,6 @@ class TestResolution:
         assert not InlineBackend.persists
         assert ProcessPoolBackend.persists
         assert SubprocessShardBackend.whole_graph
-        assert not AutoBackend.persists  # parent writes for both pools
-
-    def test_dispatch_costs_order_by_isolation(self):
-        assert InlineBackend.dispatch_cost \
-            < ThreadBackend.dispatch_cost \
-            < ProcessPoolBackend.dispatch_cost \
-            < SubprocessShardBackend.dispatch_cost
 
     def test_shard_rejects_per_task_submit(self):
         with pytest.raises(RuntimeError, match="whole graphs"):
@@ -275,54 +260,9 @@ class TestResolution:
                 Task(id="t", stage="n"), {})
 
     def test_base_rejects_whole_graph_execution(self):
-        backend = ThreadBackend()
+        backend = InlineBackend()
         with pytest.raises(NotImplementedError):
             backend.execute_graph({}, [], {}, None)
-
-
-class TestAutoRouting:
-    """The cost table × dispatch_cost routing rule, via the accounting
-    the auto backend records per dispatch."""
-
-    def _mixed_graph(self):
-        # Stage names drive routing; arith_runner keeps execution cheap.
-        return _graph(
-            Task(id="c", stage=STAGE_COMPILE, payload={"value": 1}),
-            Task(id="r", stage=STAGE_REPLAY, payload={"value": 10},
-                 deps=("c",)),
-        )
-
-    def test_replay_goes_to_threads_compile_to_processes(self):
-        backend = AutoBackend(workers=2)
-        results = run_graph(self._mixed_graph(), workers=2,
-                            runner=arith_runner, keyer=arith_keyer,
-                            backend=backend)
-        assert results == {"c": 1, "r": 11}
-        assert backend.routed_stages[STAGE_COMPILE] == "process"
-        assert backend.routed_stages[STAGE_REPLAY] == "thread"
-        assert backend.routed == {"process": 1, "thread": 1}
-
-    def test_unknown_stages_route_heavy(self):
-        backend = AutoBackend(workers=2)
-        run_graph(DIAMOND, workers=2, runner=arith_runner,
-                  keyer=arith_keyer, backend=backend)
-        assert backend.routed == {"process": len(DIAMOND)}
-        assert stage_cost("n") == DEFAULT_STAGE_COST
-
-    def test_heavy_cost_threshold_is_tunable(self):
-        backend = AutoBackend(workers=2, heavy_cost=1000.0)
-        run_graph(self._mixed_graph(), workers=2, runner=arith_runner,
-                  keyer=arith_keyer, backend=backend)
-        assert backend.routed == {"thread": 2}
-
-    def test_instance_survives_multiple_graphs(self):
-        # Engine.warm resolves per graph but an instance accumulates.
-        backend = AutoBackend(workers=2)
-        run_graph(self._mixed_graph(), workers=2, runner=arith_runner,
-                  keyer=arith_keyer, backend=backend)
-        run_graph(self._mixed_graph(), workers=2, runner=arith_runner,
-                  keyer=arith_keyer, backend=backend)
-        assert backend.routed == {"process": 2, "thread": 2}
 
 
 class TestSharding:

@@ -2,10 +2,9 @@
 
 The engine's ``replay`` stage must be a pure relocation of
 ``Machine.simulate``: byte-identical ``TimingResult`` pickles whether
-the replay ran inline, on a thread/process pool, in a shard subprocess,
-or through the cost-routed ``auto`` composite — and its content-address
-must be computable before execution, from the machine fingerprint
-alone.
+the replay ran inline, on a process pool, or in a shard subprocess —
+and its content-address must be computable before execution, from the
+machine fingerprint alone.
 """
 
 import pickle
@@ -25,7 +24,7 @@ PAIR = ("crc32", "small")
 ISA = "x86"
 SPEC = spec_from_axes(isa=ISA, width=2, rob=64, l1_kb=8)
 
-BACKENDS = ("inline", "thread", "process", "shard", "auto")
+BACKENDS = ("inline", "process", "shard")
 
 
 @pytest.fixture(scope="module")

@@ -232,16 +232,15 @@ class TestRounds:
 
 class TestStageCosts:
     def test_record_and_history_round_trip(self, db):
-        db.record_stage_cost("compile", 1.5, toolchain="t" * 8)
-        db.record_stage_cost("compile", 2.5)
-        db.record_stage_cost("replay", 0.01)
+        db.record_stage_costs([("compile", 1.5)], toolchain="t" * 8)
+        db.record_stage_costs([("compile", 2.5), ("replay", 0.01)])
         history = db.stage_cost_history("compile")
         assert [(s, sec) for s, sec, _ in history] == \
             [("compile", 1.5), ("compile", 2.5)]
 
     def test_history_is_oldest_first_with_recent_limit(self, db):
         for index in range(5):
-            db.record_stage_cost("run", float(index))
+            db.record_stage_costs([("run", float(index))])
         history = db.stage_cost_history("run", limit=2)
         assert [seconds for _, seconds, _ in history] == [3.0, 4.0]
 
@@ -264,7 +263,7 @@ class TestStageCosts:
     def test_costs_survive_reopen(self, tmp_path):
         path = tmp_path / "persist.sqlite3"
         with ResultsDB(path) as first:
-            first.record_stage_cost("synthesize", 4.0)
+            first.record_stage_costs([("synthesize", 4.0)])
         with ResultsDB(path) as second:
             assert len(second.stage_cost_history("synthesize")) == 1
 
@@ -284,8 +283,8 @@ class TestSharedAccess:
         with ResultsDB(path) as writer, ResultsDB(path) as other:
             writer.put(record(key="w1", sweep="shared"))
             other.put(record(key="w2", sweep="shared"))
-            other.record_stage_cost("compile", 1.0)
-            writer.record_stage_cost("compile", 2.0)
+            other.record_stage_costs([("compile", 1.0)])
+            writer.record_stage_costs([("compile", 2.0)])
             assert {r.key for r in writer.query(sweep="shared")} == \
                 {"w1", "w2"}
             assert len(other.stage_cost_history("compile")) == 2
@@ -298,7 +297,7 @@ class TestSharedAccess:
         def hammer(tag):
             with ResultsDB(path) as db:
                 for index in range(20):
-                    db.record_stage_cost(f"stage-{tag}", float(index))
+                    db.record_stage_costs([(f"stage-{tag}", float(index))])
             return True
 
         with ThreadPoolExecutor(4) as pool:

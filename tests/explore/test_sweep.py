@@ -5,9 +5,7 @@ import math
 import pytest
 
 from repro.engine.api import Engine
-from repro.engine.backends import AutoBackend
 from repro.engine.store import ArtifactStore
-from repro.engine.tasks import STAGE_COMPILE, STAGE_REPLAY, STAGE_RUN
 from repro.explore import sweep as sweep_mod
 from repro.explore.db import ResultsDB
 from repro.explore.space import Axis, DesignSpace, Preset
@@ -108,18 +106,6 @@ class TestEngineLowering:
         assert result.computed == TINY.space.size
         assert rerun.stats.misses == 0 and rerun.stats.puts == 0
         assert rerun.stats.hits > 0  # served entirely from the store
-
-    def test_auto_backend_routes_sweep_stages_by_cost(self, db, tmp_path):
-        """Replay nodes land on the thread pool, compile/run nodes on
-        the process pool (the auto backend's dispatch accounting)."""
-        backend = AutoBackend(workers=2)
-        engine = Engine(store=ArtifactStore(root=tmp_path / "store"),
-                        backend=backend)
-        run_sweep(TINY, engine=engine, db=db)
-        assert backend.routed_stages[STAGE_REPLAY] == "thread"
-        assert backend.routed_stages[STAGE_COMPILE] == "process"
-        assert backend.routed_stages[STAGE_RUN] == "process"
-        assert backend.routed["thread"] >= TINY.space.size  # the replays
 
 
 class TestRunSweep:

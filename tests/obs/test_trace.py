@@ -163,7 +163,7 @@ def _diamond():
 class TestGraphCoverage:
     """Acceptance: stage spans cover every graph node, per backend."""
 
-    @pytest.mark.parametrize("backend", ["inline", "thread", "shard"])
+    @pytest.mark.parametrize("backend", ["inline", "process", "shard"])
     def test_spans_cover_all_nodes(self, backend, tmp_path):
         from repro.engine.scheduler import run_graph
         from repro.engine.store import ArtifactStore

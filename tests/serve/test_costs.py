@@ -1,37 +1,44 @@
-"""CostModel: EWMA learning, static fallback, and learned routing."""
+"""CostModel: EWMA learning and per-stage priors for cold stages."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine.backends.auto import AutoBackend
-from repro.engine.tasks import STAGE_COSTS, Task, stage_cost
 from repro.explore.db import ResultsDB
-from repro.serve.costs import DEFAULT_ALPHA, MIN_SAMPLES, UNIT_SECONDS, CostModel
-
-
-def _task(stage: str) -> Task:
-    return Task(id=f"{stage}:t", stage=stage)
+from repro.serve.costs import (
+    DEFAULT_ALPHA,
+    DEFAULT_PRIOR_SECONDS,
+    MIN_SAMPLES,
+    PRIOR_SECONDS,
+    CostModel,
+)
 
 
 class TestColdModel:
     def test_cold_cost_is_static_table(self):
         model = CostModel()
-        for stage, static in STAGE_COSTS.items():
-            assert model.cost(stage) == static
+        for stage, prior in PRIOR_SECONDS.items():
+            assert model.estimate_seconds([stage]) == prior
+        assert PRIOR_SECONDS == {
+            "compile": 0.2, "run": 0.15, "profile": 0.05,
+            "synthesize": 0.25, "compile-clone": 0.08, "run-clone": 0.04,
+            "replay": 0.005,
+        }
 
     def test_cold_unknown_stage_uses_default(self):
-        assert CostModel().cost("nonesuch") == stage_cost("nonesuch")
+        assert CostModel().estimate_seconds(["nonesuch"]) == 0.1
+        assert DEFAULT_PRIOR_SECONDS == 0.1
 
     def test_cold_seconds_is_none(self):
         assert CostModel().seconds("compile") is None
 
-    def test_estimate_prices_cold_stages_through_static_units(self):
+    def test_estimate_prices_cold_stages_through_priors(self):
         model = CostModel()
-        estimate = model.estimate_seconds(["compile", "replay"])
-        expected = (STAGE_COSTS["compile"] + STAGE_COSTS["replay"]) \
-            * UNIT_SECONDS
-        assert estimate == pytest.approx(expected)
+        assert model.estimate_seconds(["compile", "replay"]) == \
+            pytest.approx(0.205)
+        assert model.estimate_seconds(
+            ["compile", "run", "profile", "synthesize", "compile-clone",
+             "run-clone", "replay", "nonesuch"]) == pytest.approx(0.875)
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(ValueError):
@@ -41,6 +48,9 @@ class TestColdModel:
 
 
 class TestLearning:
+    def test_default_alpha_is_sane(self):
+        assert 0.0 < DEFAULT_ALPHA <= 1.0
+
     def test_warm_after_min_samples(self):
         model = CostModel()
         for _ in range(MIN_SAMPLES - 1):
@@ -55,11 +65,6 @@ class TestLearning:
         model.observe("run", 3.0)
         assert model.seconds("run") == pytest.approx(2.0)
 
-    def test_learned_cost_converts_seconds_to_units(self):
-        model = CostModel(min_samples=1)
-        model.observe("replay", 0.5)
-        assert model.cost("replay") == pytest.approx(0.5 / UNIT_SECONDS)
-
     def test_negative_observations_ignored(self):
         model = CostModel(min_samples=1)
         model.observe("run", -1.0)
@@ -68,16 +73,18 @@ class TestLearning:
     def test_estimate_mixes_learned_and_static(self):
         model = CostModel(min_samples=1)
         model.observe("compile", 4.0)
-        estimate = model.estimate_seconds(["compile", "replay"])
-        assert estimate == pytest.approx(
-            4.0 + STAGE_COSTS["replay"] * UNIT_SECONDS)
+        assert model.estimate_seconds(["compile", "replay"]) == \
+            pytest.approx(4.005)
 
     def test_snapshot_reports_source(self):
         model = CostModel(min_samples=1)
         model.observe("compile", 1.0)
         snap = model.snapshot()
         assert snap["compile"]["source"] == "learned"
+        assert snap["compile"]["seconds"] == 1.0
         assert snap["replay"]["source"] == "static"
+        assert snap["replay"]["seconds"] == 0.005
+        assert snap["replay"]["ewma_seconds"] is None
 
 
 class TestPersistence:
@@ -100,47 +107,7 @@ class TestPersistence:
     def test_warm_start_does_not_rewrite_history(self, tmp_path):
         path = tmp_path / "e.sqlite3"
         with ResultsDB(path) as db:
-            db.record_stage_cost("run", 1.0)
+            db.record_stage_costs([("run", 1.0)])
         with ResultsDB(path) as db:
             CostModel(db=db)
             assert len(db.stage_cost_history()) == 1
-
-
-class TestLearnedRouting:
-    """The ISSUE acceptance check: measured history shifts the ``auto``
-    backend's thread-vs-process decision away from the static table."""
-
-    def test_replay_reroutes_to_process_after_measured_history(
-            self, tmp_path):
-        backend = AutoBackend(workers=1)
-        # Static prior: replay (0.5) is far below heavy_cost — threads.
-        assert backend.route(_task("replay")) == "thread"
-
-        # Seed the DB with measured history: replays actually take
-        # 0.5 s ≈ 50 static units, well past the process threshold.
-        with ResultsDB(tmp_path / "e.sqlite3") as db:
-            db.record_stage_costs(
-                [("replay", backend.heavy_cost * UNIT_SECONDS * 2)]
-                * MIN_SAMPLES)
-            model = CostModel(db=db)
-        backend.cost_model = model
-        assert backend.route(_task("replay")) == "process"
-
-    def test_compile_reroutes_to_thread_when_measured_cheap(self):
-        backend = AutoBackend(workers=1)
-        assert backend.route(_task("compile")) == "process"
-        model = CostModel(min_samples=1)
-        # Measured far below the heavy threshold (0.01 static units).
-        model.observe("compile", UNIT_SECONDS / 100.0)
-        backend.cost_model = model
-        assert backend.route(_task("compile")) == "thread"
-
-    def test_cold_model_matches_static_decision(self):
-        with_model = AutoBackend(workers=1, cost_model=CostModel())
-        without = AutoBackend(workers=1)
-        for stage in STAGE_COSTS:
-            task = _task(stage)
-            assert with_model.route(task) == without.route(task)
-
-    def test_default_alpha_is_sane(self):
-        assert 0.0 < DEFAULT_ALPHA <= 1.0

@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import repro.serve.server as server_mod
+from repro.engine.backends import InlineBackend, resolve_backend
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import CapacityError, QuotaExceeded, ReproServer, ServeApp
 from repro.workloads import WORKLOADS
@@ -41,7 +42,6 @@ def make_app(tmp_path):
     def factory(**kwargs) -> ServeApp:
         kwargs.setdefault("log", lambda message: None)
         kwargs.setdefault("workers", 2)
-        kwargs.setdefault("backend", "thread")
         kwargs.setdefault("cache_dir", tmp_path / f"cache{len(created)}")
         kwargs.setdefault("db_path",
                           tmp_path / f"explore{len(created)}.sqlite3")
@@ -179,6 +179,14 @@ class TestStatsAndCosts:
         stats = make_app().stats()
         assert set(stats) >= {"jobs", "store", "submissions", "nodes",
                               "quota", "stage_costs", "draining"}
+        assert set(stats["stage_costs"]["replay"]) == \
+            {"samples", "ewma_seconds", "seconds", "source"}
+
+    def test_default_backend_is_inline(self, make_app):
+        app = make_app()
+        assert isinstance(resolve_backend(app.engine.backend,
+                                          workers=app.engine.workers),
+                          InlineBackend)
 
     def test_execution_feeds_cost_model_and_persists(self, make_app,
                                                      tmp_path):
