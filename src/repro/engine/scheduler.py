@@ -156,9 +156,12 @@ def run_graph(
     across backends for the same graph and store state.
     """
     order = topological_order(graph)
+    # Iterate the graph, not *preloaded*: the engine's memo is far
+    # larger, and another thread may be inserting into it meanwhile.
+    preloaded = preloaded or {}
     results: dict[str, Any] = {
-        task_id: value for task_id, value in (preloaded or {}).items()
-        if task_id in graph
+        task_id: preloaded[task_id] for task_id in graph
+        if task_id in preloaded
     }
     if not graph:
         return results

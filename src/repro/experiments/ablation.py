@@ -14,18 +14,20 @@ from dataclasses import dataclass, field
 
 from repro.cc.driver import compile_program
 from repro.experiments.runner import ExperimentRunner, QUICK_PAIRS, format_table
+from repro.profiling.memory_profile import PROFILE_CACHE
 from repro.sim.branch import HybridPredictor, simulate_predictor
-from repro.sim.cache import CacheConfig, simulate_cache
+from repro.sim.cache import sweep_cache_sizes
 from repro.sim.functional import run_binary
 from repro.synthesis.baseline import synthesize_linear
-
-_CACHE = CacheConfig(8 * 1024, 32, 4)
 
 
 def _metrics(trace) -> dict:
     mix = trace.instruction_mix().paper_mix()
     branch = simulate_predictor(trace.branch_log, HybridPredictor()).accuracy
-    cache = simulate_cache(trace.mem_addrs, _CACHE).hit_rate
+    size = PROFILE_CACHE.size_bytes
+    cache = sweep_cache_sizes(trace.mem_addrs, [size],
+                              PROFILE_CACHE.line_bytes,
+                              PROFILE_CACHE.associativity)[size]
     return {"mix": mix, "branch_accuracy": branch, "cache_hit_rate": cache}
 
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.runner import ExperimentRunner, QUICK_PAIRS, format_table
+from repro.profiling.memory_profile import PROFILE_SWEEP_SIZES as CACHE_SIZES
 from repro.sim.cache import sweep_cache_sizes
-
-CACHE_SIZES = tuple(kb * 1024 for kb in (1, 2, 4, 8, 16, 32))
 
 
 @dataclass

@@ -6,17 +6,20 @@ the paper's Fig. 7 sweep) and is classified into one of the nine Table I
 miss-rate classes, which map to byte strides 0..32 assuming 32-byte lines.
 
 Additionally, per-instruction miss rates are measured at every sweep size
-in one pass (Hill & Smith-style, the paper's citation [13]); the smallest
+(Hill & Smith-style, the paper's citation [13]); the smallest
 cache at which an access stops missing estimates its working set, which
 the synthesizer uses to size the stride-walk arrays.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, compress
+from operator import not_
 
 from repro.isa.machine import Binary
-from repro.sim.cache import Cache, CacheConfig
+from repro.sim.cache import CacheConfig, lru_hits
 from repro.sim.trace import ExecutionTrace
 
 # Table I: class index -> stride in bytes (32-byte line, 32-bit words).
@@ -25,6 +28,8 @@ MISS_CLASS_STRIDES = (0, 4, 8, 12, 16, 20, 24, 28, 32)
 # Cache sizes measured during profiling (bytes).
 PROFILE_SWEEP_SIZES = tuple(kb * 1024 for kb in (1, 2, 4, 8, 16, 32))
 DEFAULT_PROFILE_SIZE = 8 * 1024
+# The profiling cache: the single geometry Table I classes are read at.
+PROFILE_CACHE = CacheConfig(DEFAULT_PROFILE_SIZE, 32, 4)
 
 
 def miss_class_for_rate(miss_rate: float) -> int:
@@ -97,27 +102,23 @@ def profile_memory(
 ) -> MemoryProfile:
     """Replay the memory trace, attributing hits/misses per instruction."""
     uids_per_block = _memory_uids_per_block(binary)
-    caches = [
-        Cache(CacheConfig(size, line_bytes, associativity)) for size in sweep_sizes
-    ]
-    sizes = list(sweep_sizes)
+
+    def access_uids():
+        # The static instruction behind each entry of trace.mem_addrs.
+        return chain.from_iterable(
+            map(uids_per_block.__getitem__, trace.block_seq))
+
     profile = MemoryProfile(profile_size=profile_size)
     stats = profile.stats
-    mem_addrs = trace.mem_addrs
-    mem_idx = 0
-    for gbid in trace.block_seq:
-        for uid in uids_per_block[gbid]:
-            addr = mem_addrs[mem_idx]
-            mem_idx += 1
-            entry = stats.get(uid)
-            if entry is None:
-                entry = MemoryStats(uid=uid, profile_size=profile_size)
-                stats[uid] = entry
-            entry.accesses += 1
-            for size, cache in zip(sizes, caches):
-                if not cache.access(addr):
-                    misses = entry.misses_by_size
-                    misses[size] = misses.get(size, 0) + 1
-    for size, cache in zip(sizes, caches):
-        profile.hit_rates_by_size[size] = cache.hit_rate
+    for uid, count in Counter(access_uids()).items():
+        stats[uid] = MemoryStats(uid=uid, accesses=count,
+                                 profile_size=profile_size)
+    for size in sweep_sizes:
+        hits = lru_hits(trace.mem_addrs,
+                        CacheConfig(size, line_bytes, associativity))
+        misses = Counter(compress(access_uids(), map(not_, hits)))
+        for uid, count in misses.items():
+            stats[uid].misses_by_size[size] = count
+        profile.hit_rates_by_size[size] = (
+            hits.count(1) / len(hits) if hits else 1.0)
     return profile

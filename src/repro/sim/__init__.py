@@ -6,8 +6,9 @@ linked :class:`repro.isa.machine.Binary` and records an
 :class:`ExecutionTrace` (dynamic block sequence + data addresses + branch
 outcomes).  Everything downstream is trace-driven:
 
-* :mod:`repro.sim.cache` — set-associative LRU caches, multi-size sweeps
-  (Figs. 7, 8, 10);
+* :mod:`repro.sim.cache` — set-associative LRU caches: the ``lru_hits``
+  hit-bit pass behind profiling, the multi-size sweeps (Figs. 7, 8) and
+  the replay kernel, plus the per-access ``Cache`` model;
 * :mod:`repro.sim.branch` — bimodal / gshare / hybrid predictors (Fig. 9);
 * :mod:`repro.sim.timing_common` — the shared replay core: decoded
   binaries (weakly cached, one decode per live binary),
@@ -46,13 +47,12 @@ from repro.sim.timing_common import (
 )
 from repro.sim.inorder import InOrderModel
 from repro.sim.machines import MACHINES, Machine, estimate_runtime
-from repro.sim.kernels import HAVE_NUMPY, KERNEL_CHOICES, select_kernel
+from repro.sim.kernels import KERNEL_CHOICES, select_kernel
 from repro.sim.fastexec import EXEC_CHOICES, FastSimulator, select_exec
 
 __all__ = [
     "EXEC_CHOICES",
     "FastSimulator",
-    "HAVE_NUMPY",
     "KERNEL_CHOICES",
     "select_exec",
     "select_kernel",

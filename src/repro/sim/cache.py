@@ -1,13 +1,19 @@
 """Set-associative LRU data-cache simulation.
 
-Used in three places, mirroring the paper's setup:
+One primitive, :func:`lru_hits`, replays a recorded address stream
+through one cache geometry and returns a hit bit per access.  Every
+production cache simulation goes through it:
 
-* during profiling, to classify every static memory instruction into Table I
-  hit/miss classes (done in :mod:`repro.profiling.memory_profile`);
-* for Figs. 7/8's hit-rate-vs-size sweeps (``sweep_cache_sizes`` replays
-  one recorded address stream against many configurations in one pass,
-  like Hill & Smith's single-pass evaluation the paper cites);
-* inside the timing models (per-access ``access()`` calls).
+* profiling, which classifies every static memory instruction into a
+  Table I hit/miss class (:mod:`repro.profiling.memory_profile`);
+* Figs. 7/8's hit-rate-vs-size sweeps, the ablation and clone validation
+  (:func:`sweep_cache_sizes`);
+* the batched replay kernel's L1/L2 latency codes
+  (:func:`repro.sim.kernels._cache_sim`).
+
+:class:`Cache` is the per-access object model.  The pure-python timing
+models drive it access by access, and the test suite uses it as the
+oracle :func:`lru_hits` is pinned against.
 """
 
 from __future__ import annotations
@@ -95,6 +101,38 @@ class Cache:
             ways.clear()
 
 
+def lru_hits(addresses, config: CacheConfig) -> bytearray:
+    """One hit bit (1 = hit) per access of *addresses* (bytes) under *config*.
+
+    A repeat of the line just touched is an MRU hit that leaves the LRU
+    state unchanged, so it takes a fast path without touching the sets.
+    """
+    shift = config.line_bytes.bit_length() - 1
+    num_sets = config.num_sets
+    assoc = config.associativity
+    sets = [dict() for _ in range(num_sets)]
+    hits = bytearray()
+    record = hits.append
+    last = None
+    for addr in addresses:
+        line = addr >> shift
+        if line == last:
+            record(1)
+            continue
+        last = line
+        ways = sets[line % num_sets]
+        if line in ways:
+            del ways[line]  # refresh LRU position
+            ways[line] = None
+            record(1)
+        else:
+            if len(ways) >= assoc:
+                del ways[next(iter(ways))]
+            ways[line] = None
+            record(0)
+    return hits
+
+
 def simulate_cache(addresses, config: CacheConfig) -> Cache:
     """Replay *addresses* (byte granularity) through a fresh cache."""
     cache = Cache(config)
@@ -112,38 +150,12 @@ def sweep_cache_sizes(
 ) -> dict[int, float]:
     """Hit rate per cache size for one recorded address stream.
 
-    All configurations are evaluated in a single pass over the stream,
-    with the per-config geometry (line shift, set count, LRU state)
-    hoisted out of the access loop: every config shares one line-number
-    computation per address instead of re-deriving shift and set masks
-    inside ``Cache.access`` for each of them.  Results are pinned
-    against per-config :class:`Cache` replays by the regression suite.
+    One :func:`lru_hits` pass per size, so *addresses* must be a
+    sequence rather than a one-shot iterator.  An empty stream reports
+    a hit rate of 1.0.
     """
-    configs = [
-        CacheConfig(size, line_bytes, associativity) for size in sizes_bytes
-    ]
-    shift = line_bytes.bit_length() - 1
-    assoc = associativity
-    states = list(enumerate(
-        (config.num_sets, [dict() for _ in range(config.num_sets)])
-        for config in configs))
-    hits = [0] * len(configs)
-    misses = [0] * len(configs)
-    for addr in addresses:
-        line = addr >> shift
-        for i, (num_sets, sets) in states:
-            ways = sets[line % num_sets]
-            if line in ways:
-                del ways[line]  # refresh LRU position
-                ways[line] = None
-                hits[i] += 1
-            else:
-                misses[i] += 1
-                if len(ways) >= assoc:
-                    ways.pop(next(iter(ways)))
-                ways[line] = None
     results = {}
-    for config, hit, miss in zip(configs, hits, misses):
-        total = hit + miss
-        results[config.size_bytes] = hit / total if total else 1.0
+    for size in sizes_bytes:
+        hits = lru_hits(addresses, CacheConfig(size, line_bytes, associativity))
+        results[size] = hits.count(1) / len(hits) if hits else 1.0
     return results

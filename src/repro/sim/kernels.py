@@ -11,12 +11,14 @@ vectorize exactly and a part that cannot:
 * **Cache and branch-predictor state depend only on the recorded
   streams** (``mem_addrs`` / ``branch_log``), never on timing.  So
   per-access memory latencies and per-branch mispredict bits are
-  precomputed in one pass each (:func:`_cache_sim`,
-  :func:`_predictor_sim`) — with consecutive same-line accesses
-  collapsed, since a repeat access to the line just touched is a
-  guaranteed L1 hit that leaves the LRU state unchanged — and the
-  hit/miss/accuracy scalars plus both exp-histograms are reconstructed
-  from those arrays without ever running the cycle loop.
+  precomputed up front (:func:`_cache_sim`, :func:`_predictor_sim`)
+  and the hit/miss/accuracy scalars plus both exp-histograms are
+  reconstructed from those arrays without ever running the cycle loop.
+  :func:`_cache_sim` collapses consecutive same-line accesses with
+  numpy (a repeat of the line just touched is a guaranteed L1 hit that
+  leaves the LRU state unchanged), then runs the shared
+  :func:`repro.sim.cache.lru_hits` pass over the kept L1 addresses and
+  again over the L1 misses for the L2.
 
 * **Only the cycle count is sequential.**  It runs on a packed-program
   interpreter (per-op ``(flags, srcs, dst, latency, occupancy)`` tuples
@@ -34,8 +36,8 @@ vectorize exactly and a part that cannot:
 Selection is env/config driven (``REPRO_SIM_KERNEL=python|numpy|auto``)
 and hooked into :meth:`TimingModel.simulate`, so the engine's replay
 stage, the explorer, the daemon and the figures all accelerate
-transparently; ``python`` remains the default-correct fallback when
-numpy is missing.
+transparently; ``python`` remains the reference the kernels are
+pinned against.
 """
 
 from __future__ import annotations
@@ -46,15 +48,10 @@ import warnings
 import weakref
 from dataclasses import dataclass, field
 
-try:
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the test image ships numpy
-    np = None
-    HAVE_NUMPY = False
+import numpy as np
 
 from repro.obs.metrics import bucket_index
+from repro.sim.cache import lru_hits
 from repro.sim.timing_common import TimingResult
 
 #: ``auto`` switches to the numpy kernel at this many dynamic
@@ -108,16 +105,15 @@ def _auto_threshold() -> int:
 def select_kernel(model, trace) -> str:
     """Resolve which kernel will replay *trace* under *model*.
 
-    ``python``/``numpy`` honor the explicit request (``numpy`` falls
-    back, with a one-time warning, when unavailable); ``auto`` picks the
-    numpy kernel for long traces when it can.  Models the batched
-    interpreter doesn't know (``kernel_kind`` unset) always replay in
-    python.
+    ``python``/``numpy`` honor the explicit request; ``auto`` picks the
+    numpy kernel for long traces.  Models the batched interpreter
+    doesn't know (``kernel_kind`` unset) always replay in python, with
+    a one-time warning when ``numpy`` was asked for.
     """
     global _warned_fallback
     choice = _requested_kernel(model.config)
     kind = getattr(model, "kernel_kind", None)
-    usable = HAVE_NUMPY and kind in ("inorder", "ooo")
+    usable = kind in ("inorder", "ooo")
     if choice == "python":
         return "python"
     if choice == "numpy":
@@ -125,10 +121,9 @@ def select_kernel(model, trace) -> str:
             return "numpy"
         if not _warned_fallback:
             _warned_fallback = True
-            reason = "numpy is not installed" if not HAVE_NUMPY else (
-                f"model {type(model).__name__} has no batched kernel")
             warnings.warn(
-                f"REPRO_SIM_KERNEL=numpy requested but {reason}; "
+                f"REPRO_SIM_KERNEL=numpy requested but model "
+                f"{type(model).__name__} has no batched kernel; "
                 "falling back to the python kernel",
                 RuntimeWarning, stacklevel=2)
         return "python"
@@ -430,76 +425,36 @@ def pack_cache_size() -> int:
 
 
 def _cache_sim(mem, config):
-    """Replay the address stream through the L1/L2 geometry in one pass.
+    """Replay the address stream through the L1/L2 geometry.
 
     Returns ``(codes, l1_hits, l1_misses)`` where ``codes[i]`` is 0 for
     an L1 hit, 1 for an L2 hit and 2 for a memory access — exactly the
     latency class the python models resolve per access.  Consecutive
-    accesses to one L1 line are collapsed before the python LRU loop:
-    the repeat is a guaranteed hit on the most-recently-used way, so
-    counts, codes and LRU state are unchanged by simulating only the
-    first access of each run.
+    accesses to one L1 line are collapsed before the LRU pass: the
+    repeat is a guaranteed hit on the most-recently-used way, so counts,
+    codes and LRU state are unchanged by simulating only the first
+    access of each run.  The L2 sees only the L1 misses, in order.
     """
     n = mem.size
     codes = np.zeros(n, dtype=np.uint8)
     if n == 0:
         return codes, 0, 0
     l1 = config.l1
-    shift1 = l1.line_bytes.bit_length() - 1
-    lines1 = mem >> shift1
+    lines1 = mem >> (l1.line_bytes.bit_length() - 1)
     keep = np.empty(n, dtype=bool)
     keep[0] = True
     np.not_equal(lines1[1:], lines1[:-1], out=keep[1:])
     kept = np.flatnonzero(keep)
-    collapsed = lines1[kept]
-    sets1 = collapsed % l1.num_sets
-    l2 = config.l2
-    if l2 is not None:
-        shift2 = l2.line_bytes.bit_length() - 1
-        lines2 = mem[kept] >> shift2
-        sets2 = lines2 % l2.num_sets
-        l2_lines = lines2.tolist()
-        l2_sets = sets2.tolist()
-        l2_ways = [dict() for _ in range(l2.num_sets)]
-        assoc2 = l2.associativity
-    m = kept.size
-    out = bytearray(m)
-    l1_ways: list[dict] = [dict() for _ in range(l1.num_sets)]
-    assoc1 = l1.associativity
-    hits = 0
-    misses = 0
-    l1_lines = collapsed.tolist()
-    l1_sets = sets1.tolist()
-    has_l2 = l2 is not None
-    for i in range(m):
-        line = l1_lines[i]
-        ways = l1_ways[l1_sets[i]]
-        if line in ways:
-            del ways[line]  # refresh LRU position
-            ways[line] = None
-            hits += 1
-        else:
-            misses += 1
-            if len(ways) >= assoc1:
-                del ways[next(iter(ways))]
-            ways[line] = None
-            if has_l2:
-                line2 = l2_lines[i]
-                ways2 = l2_ways[l2_sets[i]]
-                if line2 in ways2:
-                    del ways2[line2]
-                    ways2[line2] = None
-                    out[i] = 1
-                else:
-                    if len(ways2) >= assoc2:
-                        del ways2[next(iter(ways2))]
-                    ways2[line2] = None
-                    out[i] = 2
-            else:
-                out[i] = 2
-    codes[kept] = np.frombuffer(bytes(out), dtype=np.uint8)
-    hits += n - m  # every collapsed repeat is an L1 hit
-    return codes, hits, misses
+    l1_hit = np.frombuffer(lru_hits(mem[kept].tolist(), l1), dtype=np.uint8)
+    missed = kept[l1_hit == 0]
+    if config.l2 is None:
+        codes[missed] = 2
+    else:
+        l2_hit = np.frombuffer(
+            lru_hits(mem[missed].tolist(), config.l2), dtype=np.uint8)
+        codes[missed] = 2 - l2_hit
+    misses = int(missed.size)
+    return codes, n - misses, misses
 
 
 _HISTORY_MASK = 0xFFF  # HybridPredictor's 12 history bits
@@ -534,15 +489,14 @@ _STEP_DOWN = _encode_map([0, 0, 1, 2])    # not taken: max(0, s - 1)
 _STEP_ID = _encode_map([0, 1, 2, 3])      # chooser tie: unchanged
 _RESET = _encode_map([2, 2, 2, 2])        # constant: fresh counter at 2
 
-if HAVE_NUMPY:
-    # _COMP[a, b] = encode(f_b . f_a): apply a's map, then b's.
-    _DECODE = (np.arange(256)[:, None] >> (2 * np.arange(4))) & 3  # [code, s]
-    _COMPOSED = _DECODE[np.arange(256)[None, :, None], _DECODE[:, None, :]]
-    _COMP = np.zeros((256, 256), dtype=np.uint8)
-    for _s in range(4):
-        _COMP |= (_COMPOSED[:, :, _s] << (2 * _s)).astype(np.uint8)
-    del _s, _COMPOSED
-    _STEP_BY_DELTA = np.array([_STEP_DOWN, _STEP_ID, _STEP_UP], dtype=np.uint8)
+# _COMP[a, b] = encode(f_b . f_a): apply a's map, then b's.
+_DECODE = (np.arange(256)[:, None] >> (2 * np.arange(4))) & 3  # [code, s]
+_COMPOSED = _DECODE[np.arange(256)[None, :, None], _DECODE[:, None, :]]
+_COMP = np.zeros((256, 256), dtype=np.uint8)
+for _s in range(4):
+    _COMP |= (_COMPOSED[:, :, _s] << (2 * _s)).astype(np.uint8)
+del _s, _COMPOSED
+_STEP_BY_DELTA = np.array([_STEP_DOWN, _STEP_ID, _STEP_UP], dtype=np.uint8)
 
 
 def _comp_scan(codes):
@@ -1223,8 +1177,6 @@ def replay_trace(model, trace, decoded=None) -> TimingResult:
     the python model's — the equivalence suite asserts it across every
     workload pair and Table III machine.
     """
-    if not HAVE_NUMPY:  # pragma: no cover - selection guards this
-        raise RuntimeError("numpy replay kernel requested but numpy is missing")
     kind = getattr(model, "kernel_kind", None)
     if kind not in ("inorder", "ooo"):
         raise ValueError(f"model {type(model).__name__} has no batched kernel")

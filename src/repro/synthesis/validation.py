@@ -18,14 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cc.driver import compile_program
+from repro.profiling.memory_profile import PROFILE_CACHE
 from repro.profiling.profile import StatisticalProfile
 from repro.sim.branch import HybridPredictor, simulate_predictor
-from repro.sim.cache import CacheConfig, simulate_cache
+from repro.sim.cache import sweep_cache_sizes
 from repro.sim.functional import run_binary
 from repro.sim.trace import ExecutionTrace
 from repro.synthesis.synthesizer import SyntheticBenchmark, synthesize
-
-_PROFILE_CACHE = CacheConfig(8 * 1024, 32, 4)
 
 
 @dataclass
@@ -76,10 +75,11 @@ def validate_clone(
         abs(original_mix[key] - clone_mix[key]) for key in original_mix
     ) / len(original_mix)
     # Cache distance at the profiling size.
-    clone_hit = simulate_cache(trace.mem_addrs, _PROFILE_CACHE).hit_rate
-    original_hit = profile.memory.hit_rates_by_size.get(
-        _PROFILE_CACHE.size_bytes, clone_hit
-    )
+    size = PROFILE_CACHE.size_bytes
+    clone_hit = sweep_cache_sizes(trace.mem_addrs, [size],
+                                  PROFILE_CACHE.line_bytes,
+                                  PROFILE_CACHE.associativity)[size]
+    original_hit = profile.memory.hit_rates_by_size.get(size, clone_hit)
     cache_distance = abs(clone_hit - original_hit)
     # Branch distance.
     clone_accuracy = _branch_accuracy(trace.branch_log)

@@ -70,6 +70,24 @@ class TestInlineExecution:
         assert results["left"] == 15 and results["right"] == 105
         assert results["bottom"] == 1000 + 15 + 105
 
+    def test_preloaded_is_probed_not_iterated(self):
+        """The engine passes its live memo, which other job threads may
+        be inserting into: run_graph must only look up the graph's own
+        ids in it, never iterate it."""
+
+        class LiveMemo(dict):
+            def __iter__(self):
+                raise AssertionError("preloaded iterated")
+
+            def items(self):
+                raise AssertionError("preloaded iterated")
+
+        memo = LiveMemo(top=5, unrelated=0)
+        results = run_graph(DIAMOND, workers=1, runner=arith_runner,
+                            keyer=arith_keyer, preloaded=memo)
+        assert results["bottom"] == 1000 + 15 + 105
+        assert "unrelated" not in results
+
     def test_store_hit_skips_execution(self, tmp_path):
         store = ArtifactStore(root=tmp_path)
         first = run_graph(DIAMOND, workers=1, store=store,

@@ -1,14 +1,23 @@
 """Branch taken/transition-rate and Table I memory-class profiling tests."""
 
+import pickle
+
 import pytest
 
+from repro.cc.driver import compile_program
 from repro.profiling.branch_profile import BranchStats, profile_branches
 from repro.profiling.memory_profile import (
     MISS_CLASS_STRIDES,
+    PROFILE_SWEEP_SIZES,
+    MemoryProfile,
+    MemoryStats,
     miss_class_for_rate,
     profile_memory,
 )
 from repro.profiling.profile import profile_workload
+from repro.sim.cache import Cache, CacheConfig
+from repro.sim.functional import run_binary
+from repro.workloads import WORKLOADS
 from tests.conftest import run_source
 
 
@@ -140,6 +149,38 @@ class TestMemoryProfiling:
         rates = [profile.hit_rates_by_size[s] for s in sizes]
         # 4-way caches aren't strictly monotonic, but near enough here.
         assert rates[-1] >= rates[0] - 0.01
+
+
+def _reference_profile(binary, trace) -> MemoryProfile:
+    """Oracle: one :class:`Cache` per sweep size, driven access by access."""
+    caches = {size: Cache(CacheConfig(size)) for size in PROFILE_SWEEP_SIZES}
+    profile = MemoryProfile()
+    addrs = iter(trace.mem_addrs)
+    for gbid in trace.block_seq:
+        func_idx, blk_idx = binary.block_map[gbid]
+        for ins in binary.functions[func_idx].blocks[blk_idx].instrs:
+            if not ins.is_memory:
+                continue
+            addr = next(addrs)
+            entry = profile.stats.setdefault(ins.uid, MemoryStats(uid=ins.uid))
+            entry.accesses += 1
+            for size, cache in caches.items():
+                if not cache.access(addr):
+                    misses = entry.misses_by_size
+                    misses[size] = misses.get(size, 0) + 1
+    for size, cache in caches.items():
+        profile.hit_rates_by_size[size] = cache.hit_rate
+    return profile
+
+
+@pytest.mark.parametrize("workload", ["crc32", "bitcount", "dijkstra"])
+def test_profile_memory_matches_per_access_cache_oracle(workload):
+    """The hit-bit pass reproduces per-access Cache replays byte for byte."""
+    source = WORKLOADS[workload].source_for("small")
+    binary = compile_program(source, "x86", 0).binary
+    trace = run_binary(binary)
+    assert pickle.dumps(profile_memory(binary, trace)) == pickle.dumps(
+        _reference_profile(binary, trace))
 
 
 class TestFullProfile:

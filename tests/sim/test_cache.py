@@ -2,7 +2,13 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.cache import Cache, CacheConfig, simulate_cache, sweep_cache_sizes
+from repro.sim.cache import (
+    Cache,
+    CacheConfig,
+    lru_hits,
+    simulate_cache,
+    sweep_cache_sizes,
+)
 
 
 class TestBasicBehaviour:
@@ -119,9 +125,8 @@ class TestSweep:
     )
     def test_sweep_matches_per_config_cache_replay(self, addrs, line,
                                                    assoc):
-        """Pin the single-pass sweep (hoisted shift/set geometry)
-        against a per-config :class:`Cache` replay of the same stream —
-        hit rates must agree exactly for every size."""
+        """Pin the sweep against a per-config :class:`Cache` replay of
+        the same stream — hit rates must agree exactly for every size."""
         sizes = [512, 2048, 8192, 64 * 1024]
         swept = sweep_cache_sizes(addrs, sizes, line_bytes=line,
                                   associativity=assoc)
@@ -131,6 +136,36 @@ class TestSweep:
 
     def test_sweep_empty_stream_reports_unit_hit_rate(self):
         assert sweep_cache_sizes([], [1024]) == {1024: 1.0}
+
+
+# Address streams with runs of same-line repeats, so the primitive's
+# ``line == last`` fast path is exercised as well as the set lookup.  A
+# 4 KB footprint keeps lines coming back after evictions.
+_runs = st.lists(
+    st.tuples(st.integers(0, 1 << 12), st.integers(1, 4)), max_size=150,
+).map(lambda runs: [addr + step for addr, n in runs for step in range(n)])
+
+
+class TestLruHits:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _runs,
+        st.sampled_from([16, 32, 64]),
+        st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from([256, 1024, 4096, 32 * 1024]),
+    )
+    def test_matches_cache_access_sequence(self, addrs, line, assoc, size):
+        """Bit for bit the sequence of :meth:`Cache.access` returns."""
+        config = CacheConfig(size, line, assoc)
+        cache = Cache(config)
+        expected = bytearray(cache.access(addr) for addr in addrs)
+        assert lru_hits(addrs, config) == expected
+
+    def test_repeats_hit_and_keep_lru_order(self):
+        # 2-way, one set: A B B B C evicts A, then A evicts B.
+        config = CacheConfig(64, 32, 2)
+        assert list(lru_hits([0, 32, 36, 40, 64, 0, 32], config)) == [
+            0, 0, 1, 1, 0, 0, 0]
 
 
 class TestLatencyHistogram:

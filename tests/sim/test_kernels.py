@@ -22,6 +22,7 @@ import gc
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.cc.driver import compile_program
@@ -33,12 +34,6 @@ from repro.sim.ooo import OutOfOrderModel
 from repro.sim.timing_common import TimingConfig, decode_binary
 from repro.sim.trace import ExecutionTrace
 from repro.workloads import WORKLOADS
-
-pytestmark = pytest.mark.skipif(
-    not kernels.HAVE_NUMPY, reason="numpy not installed"
-)
-
-np = kernels.np  # None when numpy is missing; every test here is skipped
 
 # Loop-heavy, call-heavy, FP-heavy and branchy workloads; small inputs
 # keep the tier-1 run fast.  REPRO_KERNEL_EQUIV_ALL=1 widens this to
