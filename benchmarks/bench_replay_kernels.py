@@ -1,17 +1,21 @@
-"""Replay-kernel throughput: python vs numpy, per machine config.
+"""Replay-kernel throughput: the oracle loop vs the numpy kernel, per
+machine config.
 
 Unlike the figure benchmarks (which time whole pipelines through the
 engine), these time *one replay* of the suite's longest trace —
 bitcount/large at the engine's ``-O0`` reference — through each Table
 III machine's cycle model, three ways:
 
-* ``python`` — the pure-python ``TimingModel.replay`` loop;
-* ``numpy-cold`` — the batched kernel from nothing: trace packing,
-  vectorized cache/branch simulation, interpretation with an empty
-  segment memo (the first replay of a binary in a fresh process);
+* ``python`` — the per-instruction ``TimingModel.replay`` oracle loop;
+* ``numpy-cold`` — the batched kernel from nothing: per-binary stats
+  and packed program, trace packing, vectorized cache/branch
+  simulation, interpretation with an empty segment memo (the first
+  replay of a binary in a fresh process);
 * ``numpy-warm`` — the steady state the engine actually lives in, with
-  the per-binary pack and segment memo populated (every replay of a
-  binary after its first, e.g. across the explorer's machine sweeps).
+  the per-binary stats, packed program and segment memo populated
+  (every replay of a binary after its first, e.g. across the
+  explorer's machine sweeps).  The trace is packed again on every
+  replay, warm or cold.
 
 Each measurement records ``extra_info["replay"]`` — kernel, machine,
 instruction count and instrs/sec — so the ``BENCH_engine.json``
@@ -57,10 +61,10 @@ def _ref_trace():
 
 
 def _clear_kernel_caches() -> None:
-    """Forget every per-binary/per-trace kernel artifact (packs, static
-    stats, segment memos) so the next replay pays first-replay costs."""
+    """Forget every per-binary kernel artifact (static stats, packed
+    programs, segment memos) so the next replay pays first-replay
+    costs."""
     kernels._STAT_CACHE.clear()
-    kernels._PACK_CACHE.clear()
 
 
 def _timed_replay(benchmark, machine, kernel: str, fn, trace) -> float:
@@ -109,7 +113,7 @@ def test_numpy_replay_warm(benchmark, machine):
     trace = _ref_trace()
     decoded = decode_binary(trace.binary)
     model = machine.model()
-    kernels.replay_trace(model, trace, decoded)  # populate pack + memo
+    kernels.replay_trace(model, trace, decoded)  # populate stats + memo
     _timed_replay(benchmark, machine, "numpy-warm",
                   lambda: kernels.replay_trace(model, trace, decoded), trace)
 

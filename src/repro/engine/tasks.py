@@ -107,10 +107,9 @@ def run_stage(task: Task, deps: dict[str, Any]):
                                payload["opt_level"])
     if task.stage == STAGE_RUN:
         compiled = _single_dep(task, deps, STAGE_COMPILE)
-        # run_binary honors REPRO_SIM_EXEC (python|fast|auto).  The
-        # engine selection deliberately stays OUT of key_fields: both
-        # engines produce byte-identical traces, so artifacts are
-        # interchangeable and learned stage costs absorb the speedup.
+        # run_binary's fast engine and its per-binary fallback to the
+        # reference interpreter produce byte-identical traces, so which
+        # one ran is not part of key_fields.
         return run_binary(compiled.binary)
     if task.stage == STAGE_PROFILE:
         trace = _single_dep(task, deps, STAGE_RUN)

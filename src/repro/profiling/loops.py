@@ -110,9 +110,9 @@ class MachineLoop:
 def loop_header_gbids(binary) -> list[int]:
     """Global block ids of every natural-loop header in *binary*.
 
-    The replay kernels use these as anchors for periodic-region
-    detection: a steady-state loop shows up in the dynamic block
-    sequence as equally spaced occurrences of its header block.
+    The replay kernel cuts its segment memo at occurrences of these
+    blocks: each cut starts a loop iteration, the unit that repeats in
+    the dynamic block sequence.
     """
     headers: list[int] = []
     for func in binary.functions:

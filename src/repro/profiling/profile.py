@@ -6,9 +6,9 @@ optimization level (-O0) so that pattern recognition sees canonical
 load/compute/store shapes; :func:`profile_workload` encapsulates that
 convention (compile at O0 on the reference ISA, simulate, profile).
 
-The functional run honors ``REPRO_SIM_EXEC`` (``python|fast|auto``):
-profiles are derived from the trace alone and both engines produce
-byte-identical traces, so profiling output never depends on the engine.
+Profiles are derived from the trace alone, and the functional run's
+trace is byte-identical to the reference interpreter's, so profiling
+output never depends on how the trace was produced.
 """
 
 from __future__ import annotations

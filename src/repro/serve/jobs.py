@@ -136,7 +136,10 @@ def _as_machine(value) -> dict:
     axes.setdefault("name", "serve")
     # Round-trip through the spec so the normalized form is complete
     # (defaults materialized) and key-stable.
-    spec = MachineSpec(**axes)
+    try:
+        spec = MachineSpec(**axes)
+    except ValueError as exc:
+        raise BadRequest(f"bad machine: {exc}") from None
     normalized = {"name": spec.name, **spec.axes()}
     return {k: normalized[k] for k in sorted(normalized)}
 

@@ -19,13 +19,14 @@ outcomes).  Everything downstream is trace-driven:
 * :mod:`repro.sim.machines` — the five Table III machines, built from
   parametric ``MachineSpec``s (``spec.fingerprint()`` is the engine's
   replay content-address);
-* :mod:`repro.sim.kernels` — batched numpy replay kernels behind
-  ``TimingModel.simulate`` (``REPRO_SIM_KERNEL=python|numpy|auto``),
-  byte-identical to the python models but 10-20x faster on long traces;
+* :mod:`repro.sim.kernels` — the batched numpy replay kernel behind
+  every ``TimingModel.simulate``, byte-identical to the models'
+  per-instruction ``replay`` loops (kept as its test oracle) and 10-20x
+  faster on long traces;
 * :mod:`repro.sim.fastexec` — the block-compiling execution engine behind
-  ``run_binary``/``Simulator`` (``REPRO_SIM_EXEC=python|fast|auto``),
-  byte-identical traces several times faster than the reference
-  interpreter.
+  ``run_binary``/``Simulator.run``, byte-identical traces several times
+  faster than the reference interpreter ``Simulator._run_python`` (kept
+  as its test oracle and per-binary fallback).
 """
 
 from repro.sim.functional import SimTrap, Simulator, run_binary
@@ -47,15 +48,10 @@ from repro.sim.timing_common import (
 )
 from repro.sim.inorder import InOrderModel
 from repro.sim.machines import MACHINES, Machine, estimate_runtime
-from repro.sim.kernels import KERNEL_CHOICES, select_kernel
-from repro.sim.fastexec import EXEC_CHOICES, FastSimulator, select_exec
+from repro.sim.fastexec import FastSimulator
 
 __all__ = [
-    "EXEC_CHOICES",
     "FastSimulator",
-    "KERNEL_CHOICES",
-    "select_exec",
-    "select_kernel",
     "BimodalPredictor",
     "Cache",
     "CacheConfig",

@@ -1,17 +1,19 @@
-"""Fast functional execution engine (``REPRO_SIM_EXEC=fast``).
+"""Fast functional execution engine.
 
-A second execution engine behind :func:`repro.sim.functional.run_binary` /
-:class:`repro.sim.functional.Simulator` that produces a **byte-identical**
-:class:`repro.sim.trace.ExecutionTrace` (pickle-equal: same block sequence,
-memory-address stream, branch log, output, exit value and instruction
-count) while running several times faster.  Three layers:
+The execution engine behind :func:`repro.sim.functional.run_binary` /
+:meth:`repro.sim.functional.Simulator.run`.  It produces an
+:class:`repro.sim.trace.ExecutionTrace` **byte-identical** to the
+reference interpreter's (``Simulator._run_python``, the test oracle):
+same block sequence, memory-address stream, branch log, output, exit
+value and instruction count, pickle for pickle, while running several
+times faster.  Three layers:
 
 1. **Block compilation** — every function of a :class:`Binary` is decoded
    once into specialized Python source (``exec``-compiled, weakly cached
-   per live binary like ``kernels._PACK_CACHE``): registers become true
-   locals (``r0..``/``f0..``), opcode dispatch disappears entirely, and
-   single-predecessor blocks are inlined into their predecessor's chain so
-   straight-line regions run without dispatch at all.  Calls become direct
+   per live binary): registers become true locals (``r0..``/``f0..``),
+   opcode dispatch disappears entirely, and single-predecessor blocks are
+   inlined into their predecessor's chain so straight-line regions run
+   without dispatch at all.  Calls become direct
    Python recursion (a ``RecursionError`` falls back to the reference
    interpreter).
 
@@ -21,15 +23,16 @@ count) while running several times faster.  Three layers:
    trace is adopted zero-copy via :meth:`ExecutionTrace.from_buffers`.
 
 3. **Architectural segment memoization** — innermost call-free loops are
-   *anchored* (PR 8's loop-header segmentation applied to architectural
-   state): on loop entry the anchor keys the loop body's full
+   *anchored* (the replay kernel's loop-header segmentation applied to
+   architectural state): on loop entry the anchor keys the loop body's full
    architectural effect (register deltas, relative/absolute memory writes
    and the emitted trace slices) on the content-defined read footprint +
    entry state, and replays memoized loop executions arithmetically.
    Footprints are fp-relative when the segment is "clean" (no REG-mode
    addressing, no fp-dependent ``lea``, no absolute access into the stack
-   region), so a memoized loop re-hits across call frames.  Disable with
-   ``REPRO_SIM_MEMO=0``.
+   region), so a memoized loop re-hits across call frames.  Traced runs
+   always memoize; untraced runs have no trace slices to replay and
+   compile without anchors.
 
 Trap parity is exact: loads/stores/divides raise the same ``SimTrap``
 messages, and the instruction budget check is placed at backedges, call
@@ -38,18 +41,16 @@ preserves both the trap/complete outcome and the trap *kind* of the
 reference interpreter (whose per-block check is only observable at a
 potential trap site, since a trap discards all other state).
 
-Unsupported binaries (unknown opcodes, non-contiguous ``arg`` staging)
-compile to ``None`` and fall back to the reference interpreter.  Anchor
-tables are plain dicts mutated under the GIL; concurrent runs can at
-worst duplicate a recording or skew the adaptive counters — never corrupt
-a trace.
+Unsupported binaries (unknown opcodes, non-contiguous ``arg`` staging),
+entry frames larger than the stack and ``RecursionError`` fall back to
+the reference interpreter for that run.  Anchor tables are plain dicts
+mutated under the GIL; concurrent runs can at worst duplicate a
+recording or skew the adaptive counters — never corrupt a trace.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-import warnings
 import weakref
 
 from repro.ir.ops_eval import BINOPS, UNOPS
@@ -57,10 +58,6 @@ from repro.isa.machine import Binary
 from repro.profiling.loops import find_machine_loops
 from repro.sim.functional import SimTrap, Simulator, _format_output
 from repro.sim.trace import ExecutionTrace
-
-EXEC_CHOICES = ("python", "fast", "auto")
-_ENV_VAR = "REPRO_SIM_EXEC"
-_MEMO_ENV = "REPRO_SIM_MEMO"
 
 # Segment-memoization caps (per anchor): recording aborts past these and
 # the adaptive policy disables anchors that never pay for themselves.
@@ -83,29 +80,6 @@ _BUDGET_MSG = "instruction budget exceeded (%d)"
 
 _TERMINATORS = ("bt", "bf", "jmp", "call", "ret")
 _INT_DIV_OPS = ("div", "udiv", "mod", "umod")
-
-_warned_fallback: set = set()
-
-
-def _requested_exec() -> str:
-    value = os.environ.get(_ENV_VAR, "auto").strip().lower()
-    if value not in EXEC_CHOICES:
-        raise ValueError(
-            f"{_ENV_VAR} must be one of {EXEC_CHOICES}, got {value!r}"
-        )
-    return value
-
-
-def select_exec() -> str:
-    """Resolve the execution engine: ``python`` or ``fast``.
-
-    ``auto`` (the default) picks ``fast``: compilation costs milliseconds,
-    is cached for the binary's lifetime, and unsupported binaries fall
-    back per-run anyway.
-    """
-    requested = _requested_exec()
-    return "fast" if requested == "auto" else requested
-
 
 class _Unsupported(Exception):
     """Binary shape the compiler does not handle; caller falls back."""
@@ -619,12 +593,11 @@ class _Anchor:
 class _FuncEmitter:
     """Compiles one MachineFunction into Python source."""
 
-    def __init__(self, binary, fi, func, traced, memo_on, anchors):
+    def __init__(self, binary, fi, func, traced, anchors):
         self.binary = binary
         self.fi = fi
         self.func = func
         self.traced = traced
-        self.memo_on = memo_on
         self.anchors = anchors  # shared, namespace-wide
         self.blocks = func.blocks
         self.lines: list[str] = []
@@ -728,7 +701,7 @@ class _FuncEmitter:
         """Anchor innermost call/print/ret-free loops for memoization."""
         self.anchored: list = []  # (loop, header, syn_id, anchor_name)
         self.anchor_headers: dict = {}  # header -> (loop, syn_id, name)
-        if not (self.traced and self.memo_on):
+        if not self.traced:
             return
         nblocks = len(self.blocks)
         syn = nblocks
@@ -1231,11 +1204,11 @@ class _Unit:
         self.traced = traced
 
 
-def _build_unit(binary: Binary, traced: bool, memo_on: bool) -> _Unit:
+def _build_unit(binary: Binary, traced: bool) -> _Unit:
     anchors: list[_Anchor] = []
     lines: list[str] = []
     for fi, func in enumerate(binary.functions):
-        emitter = _FuncEmitter(binary, fi, func, traced, memo_on, anchors)
+        emitter = _FuncEmitter(binary, fi, func, traced, anchors)
         lines.extend(emitter.emit())
     source = "\n".join(lines)
     namespace: dict = dict(_HELPERS)
@@ -1247,7 +1220,6 @@ def _build_unit(binary: Binary, traced: bool, memo_on: bool) -> _Unit:
         EXEC_DEBUG.setdefault("units", []).append(
             {
                 "traced": traced,
-                "memo": memo_on,
                 "functions": len(binary.functions),
                 "anchors": len(anchors),
                 "source_lines": len(lines),
@@ -1277,13 +1249,13 @@ def _weak_get(cache, obj, build):
 
 def _compiled_unit(binary: Binary, collect_trace: bool) -> "_Unit | None":
     """The (weakly cached) compiled unit for *binary*, or None when the
-    binary's shape is unsupported (caller falls back to ``python``)."""
-    memo_on = bool(collect_trace) and os.environ.get(_MEMO_ENV, "1") != "0"
+    binary's shape is unsupported (caller falls back to the reference
+    interpreter)."""
     variants = _weak_get(_UNIT_CACHE, binary, lambda b: {})
-    key = (bool(collect_trace), memo_on)
+    key = bool(collect_trace)
     if key not in variants:
         try:
-            variants[key] = _build_unit(binary, *key)
+            variants[key] = _build_unit(binary, key)
         except _Unsupported as exc:
             if isinstance(EXEC_DEBUG, dict):
                 EXEC_DEBUG.setdefault("fallbacks", []).append(str(exc))
@@ -1294,17 +1266,6 @@ def _compiled_unit(binary: Binary, collect_trace: bool) -> "_Unit | None":
 def compiled_cache_size() -> int:
     """Number of live binaries with compiled units (for tests)."""
     return len(_UNIT_CACHE)
-
-
-def _warn_fallback(reason: str) -> None:
-    if _requested_exec() != "fast" or reason in _warned_fallback:
-        return
-    _warned_fallback.add(reason)
-    warnings.warn(
-        f"REPRO_SIM_EXEC=fast fell back to the python engine: {reason}",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 class FastSimulator:
@@ -1336,11 +1297,8 @@ class FastSimulator:
     def run(self, collect_trace: bool = True) -> ExecutionTrace:
         binary = self.binary
         unit = _compiled_unit(binary, collect_trace)
-        if unit is None:
-            _warn_fallback("unsupported binary shape")
-            return self._python_run(collect_trace)
-        if binary.functions[binary.entry].frame_size > self.stack_words:
-            _warn_fallback("entry frame exceeds the stack")
+        if (unit is None
+                or binary.functions[binary.entry].frame_size > self.stack_words):
             return self._python_run(collect_trace)
         memory: list = [0] * (binary.stack_base + self.stack_words)
         base = binary.data_base
@@ -1368,7 +1326,6 @@ class FastSimulator:
         try:
             exit_value, instructions = unit.entry(ctx, 0, memory, binary.stack_base)
         except RecursionError:
-            _warn_fallback("recursion depth exceeded")
             return self._python_run(collect_trace)
         finally:
             if old_limit < _RECURSION_LIMIT:

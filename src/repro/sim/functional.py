@@ -9,7 +9,10 @@ with the constant folder via :mod:`repro.ir.ops_eval`) and records an
 * every conditional-branch outcome as ``(uid << 1) | taken``.
 
 All heavier analyses (cache, predictors, timing, SFGL) replay the trace
-offline, keeping this inner loop as lean as a Python interpreter can be.
+offline.  :meth:`Simulator.run` executes on the block-compiling engine
+in :mod:`repro.sim.fastexec`; :meth:`Simulator._run_python`, the
+per-instruction interpreter below, is the reference that engine is
+pinned to byte for byte and its fallback for binaries it cannot compile.
 """
 
 from __future__ import annotations
@@ -82,24 +85,18 @@ class Simulator:
         """Execute from ``main`` to completion; returns the trace.
 
         With ``collect_trace=False`` the block/memory/branch logs stay
-        empty (fast correctness-only runs).
-
-        The actual engine is selected via ``REPRO_SIM_EXEC``
-        (``python|fast|auto``, mirroring ``REPRO_SIM_KERNEL``): ``fast``
-        routes through :mod:`repro.sim.fastexec`, the block-compiling
-        engine, which produces a byte-identical trace several times
-        faster; ``python`` pins this reference interpreter.
+        empty (fast correctness-only runs).  Runs on
+        :class:`repro.sim.fastexec.FastSimulator`, which falls back to
+        :meth:`_run_python` per binary where it must.
         """
-        from repro.sim import fastexec
+        from repro.sim.fastexec import FastSimulator
 
-        if fastexec.select_exec() == "fast":
-            return fastexec.FastSimulator(
-                self.binary, self.max_instructions, self.stack_words
-            ).run(collect_trace)
-        return self._run_python(collect_trace)
+        return FastSimulator(
+            self.binary, self.max_instructions, self.stack_words
+        ).run(collect_trace)
 
     def _run_python(self, collect_trace: bool = True) -> ExecutionTrace:
-        """The reference per-instruction interpreter (engine ``python``)."""
+        """The reference per-instruction interpreter (the test oracle)."""
         binary = self.binary
         memory: list = [0] * (binary.stack_base + self.stack_words)
         base = binary.data_base

@@ -1,12 +1,13 @@
-"""Batched replay kernels: the numpy-accelerated timing-replay engine.
+"""Batched replay kernels: the timing-replay engine.
 
+:meth:`TimingModel.simulate` replays every trace here, so the engine's
+replay stage, the explorer, the daemon and the figures all run on it.
 The per-instruction loops in :mod:`repro.sim.inorder` /
-:mod:`repro.sim.ooo` are the hot path every replay pays (ROADMAP:
-"Compiled replay kernels").  This module replays the same traces
-**byte-identically** — every :class:`~repro.sim.timing_common.TimingResult`
-field, histograms included, matches the pure-python models — but one to
-two orders of magnitude faster, by splitting the replay into parts that
-vectorize exactly and a part that cannot:
+:mod:`repro.sim.ooo` are the test oracle: every
+:class:`~repro.sim.timing_common.TimingResult` field, histograms
+included, matches theirs **byte-identically**, at a fraction of the
+cost, by splitting the replay into parts that vectorize exactly and a
+part that cannot:
 
 * **Cache and branch-predictor state depend only on the recorded
   streams** (``mem_addrs`` / ``branch_log``), never on timing.  So
@@ -23,28 +24,15 @@ vectorize exactly and a part that cannot:
 * **Only the cycle count is sequential.**  It runs on a packed-program
   interpreter (per-op ``(flags, srcs, dst, latency, occupancy)`` tuples
   with all class dispatch precomputed) that is several times faster
-  than the model loops, and on top of that **skips steady-state loop
-  iterations in bulk**: the profiler's loop headers anchor periodic
-  regions of the block sequence (equal occurrence gaps, identical
-  block/latency/outcome rows), and once the interpreter observes the
-  same *relative* pipeline state at two consecutive period boundaries,
-  every remaining period is provably identical up to a constant cycle
-  shift — all scoreboard operations are max/plus on cycle deltas, so
-  the evolution is time-translation invariant — and is applied as
-  ``cycle += periods * delta`` instead of being executed.
-
-Selection is env/config driven (``REPRO_SIM_KERNEL=python|numpy|auto``)
-and hooked into :meth:`TimingModel.simulate`, so the engine's replay
-stage, the explorer, the daemon and the figures all accelerate
-transparently; ``python`` remains the reference the kernels are
-pinned against.
+  than the model loops, and on top of that **memoizes segments**: the
+  profiler's loop headers cut the block sequence into outer-iteration
+  slices, and a slice seen before with the same content and the same
+  relative pipeline state is applied as a cycle shift instead of being
+  executed (see :func:`_run_cycles`).
 """
 
 from __future__ import annotations
 
-import bisect
-import os
-import warnings
 import weakref
 from dataclasses import dataclass, field
 
@@ -53,13 +41,6 @@ import numpy as np
 from repro.obs.metrics import bucket_index
 from repro.sim.cache import lru_hits
 from repro.sim.timing_common import TimingResult
-
-#: ``auto`` switches to the numpy kernel at this many dynamic
-#: instructions (override: ``REPRO_SIM_KERNEL_THRESHOLD``).  Below it
-#: the python models win — array packing has a fixed cost.
-AUTO_THRESHOLD = 100_000
-
-KERNEL_CHOICES = ("python", "numpy", "auto")
 
 # Packed-op flag bits (see _build_program).
 _F_MEM = 1       # touches memory (consumes one mem_addrs slot)
@@ -73,65 +54,6 @@ _F_CR = 64       # call or return (scoreboard clear)
 _FP_KLASSES = ("falu", "fmul", "fdiv", "fmath")
 _MD_KLASSES = ("imul", "idiv")
 
-# Region-detection knobs: a periodic region is only worth locking onto
-# when enough full periods remain after warmup to amortize the two
-# boundary captures the lock needs.
-_MIN_PERIODS = 4
-_MIN_REGION_BLOCKS = 32
-
-_warned_fallback = False
-
-
-# ---------------------------------------------------------------------------
-# Kernel selection
-
-
-def _requested_kernel(config) -> str:
-    choice = getattr(config, "kernel", None)
-    if choice is None:
-        choice = os.environ.get("REPRO_SIM_KERNEL") or "auto"
-    choice = str(choice).strip().lower()
-    if choice not in KERNEL_CHOICES:
-        raise ValueError(
-            f"unknown replay kernel {choice!r} (expected one of {KERNEL_CHOICES})")
-    return choice
-
-
-def _auto_threshold() -> int:
-    raw = os.environ.get("REPRO_SIM_KERNEL_THRESHOLD")
-    return int(raw) if raw else AUTO_THRESHOLD
-
-
-def select_kernel(model, trace) -> str:
-    """Resolve which kernel will replay *trace* under *model*.
-
-    ``python``/``numpy`` honor the explicit request; ``auto`` picks the
-    numpy kernel for long traces.  Models the batched interpreter
-    doesn't know (``kernel_kind`` unset) always replay in python, with
-    a one-time warning when ``numpy`` was asked for.
-    """
-    global _warned_fallback
-    choice = _requested_kernel(model.config)
-    kind = getattr(model, "kernel_kind", None)
-    usable = kind in ("inorder", "ooo")
-    if choice == "python":
-        return "python"
-    if choice == "numpy":
-        if usable:
-            return "numpy"
-        if not _warned_fallback:
-            _warned_fallback = True
-            warnings.warn(
-                f"REPRO_SIM_KERNEL=numpy requested but model "
-                f"{type(model).__name__} has no batched kernel; "
-                "falling back to the python kernel",
-                RuntimeWarning, stacklevel=2)
-        return "python"
-    # auto
-    if usable and trace.instructions >= _auto_threshold():
-        return "numpy"
-    return "python"
-
 
 # ---------------------------------------------------------------------------
 # Per-binary static data + packed programs (weak caches, decode-style)
@@ -144,13 +66,12 @@ class _BinaryStat:
     nmem: "np.ndarray"      # memory ops per gbid
     nbr: "np.ndarray"       # conditional branches per gbid
     nins: "np.ndarray"      # instructions per gbid
-    header_gbids: tuple     # loop-header blocks (periodic-region anchors)
+    header_gbids: tuple     # loop-header blocks (segment-memo anchors)
     programs: dict = field(default_factory=dict)  # lat signature -> program
     memos: dict = field(default_factory=dict)     # config fp -> segment memo
 
 
 _STAT_CACHE: dict[int, tuple] = {}
-_PACK_CACHE: dict[int, tuple] = {}
 
 
 def _weak_get(cache: dict, obj, build):
@@ -232,78 +153,21 @@ def _program_for(binary, decoded, latencies) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Per-trace packed arrays + periodic-region candidates
+# Per-trace packed arrays + segment-memo cuts
 
 
 @dataclass
 class _TracePack:
-    """Numpy views of one trace plus its periodic-region candidates."""
+    """Numpy views of one trace plus its segment-memo cut positions."""
 
     bs: "np.ndarray"            # block sequence, int64
-    bs_list: list               # same, as a python list (interpreter-fast)
+    bs_list: list               # the trace's own list (interpreter-fast)
     mem: "np.ndarray"           # byte addresses, int64
     br: "np.ndarray"            # packed (uid << 1) | taken, int64
     mem_prefix: "np.ndarray"    # mem ops before block position i (len+1)
     br_prefix: "np.ndarray"     # branches before block position i (len+1)
-    ins_prefix: "np.ndarray"    # instructions before block position i (len+1)
-    regions: list               # (start, period, periods) block-row verified
     anchors: "np.ndarray | None"  # segment-memo cut positions
     instructions: int
-
-
-def _find_regions(bs, header_gbids) -> list:
-    """Loop-header-anchored periodic regions of the block sequence.
-
-    A region is a maximal run of equal gaps between occurrences of one
-    loop header whose per-period block rows are identical; overlapping
-    candidates (nested loops) keep the largest span.
-    """
-    candidates = []
-    n = bs.size
-    for header in header_gbids:
-        positions = np.flatnonzero(bs == header)
-        if positions.size <= _MIN_PERIODS:
-            continue
-        gaps = np.diff(positions)
-        change = np.flatnonzero(gaps[1:] != gaps[:-1]) + 1
-        run_starts = np.concatenate(([0], change))
-        run_ends = np.concatenate((change, [gaps.size]))
-        period_arr = gaps[run_starts]
-        periods_arr = run_ends - run_starts
-        keep = ((periods_arr >= _MIN_PERIODS) & (period_arr > 0)
-                & (periods_arr * period_arr >= _MIN_REGION_BLOCKS))
-        for lo, period, periods in zip(run_starts[keep].tolist(),
-                                       period_arr[keep].tolist(),
-                                       periods_arr[keep].tolist()):
-            start = int(positions[lo])
-            if start + periods * period > n:  # pragma: no cover - by construction
-                continue
-            rows = bs[start:start + periods * period].reshape(periods, period)
-            same = (rows[1:] == rows[:-1]).all(axis=1)
-            bad = np.flatnonzero(~same)
-            skip = int(bad[-1]) + 1 if bad.size else 0
-            periods -= skip
-            start += skip * period
-            if periods < _MIN_PERIODS or periods * period < _MIN_REGION_BLOCKS:
-                continue
-            candidates.append((start, period, periods))
-    candidates.sort(key=lambda r: -(r[1] * r[2]))
-    chosen: list = []
-    starts: list = []  # accepted intervals, kept sorted by start
-    ends: list = []
-    for region in candidates:
-        start, period, periods = region
-        end = start + period * periods
-        i = bisect.bisect_right(starts, start)
-        if i and ends[i - 1] > start:
-            continue
-        if i < len(starts) and starts[i] < end:
-            continue
-        starts.insert(i, start)
-        ends.insert(i, end)
-        chosen.append(region)
-    chosen.sort()
-    return chosen
 
 
 # Segment-memo knobs: a segment shorter than _SEG_MIN_BLOCKS is
@@ -391,33 +255,26 @@ def _segment_cuts(bs, header_gbids):
 
 
 def _trace_pack(trace, stat: _BinaryStat) -> _TracePack:
-    def build(_trace):
-        bs = np.asarray(_trace.block_seq, dtype=np.int64)
-        mem = np.asarray(_trace.mem_addrs, dtype=np.int64)
-        br = np.asarray(_trace.branch_log, dtype=np.int64)
-        if bs.size:
-            mem_counts = stat.nmem[bs]
-            br_counts = stat.nbr[bs]
-            ins_counts = stat.nins[bs]
-        else:
-            mem_counts = br_counts = ins_counts = np.zeros(0, dtype=np.int64)
-        mem_prefix = np.concatenate(([0], np.cumsum(mem_counts)))
-        br_prefix = np.concatenate(([0], np.cumsum(br_counts)))
-        ins_prefix = np.concatenate(([0], np.cumsum(ins_counts)))
-        return _TracePack(
-            bs=bs, bs_list=bs.tolist(), mem=mem, br=br,
-            mem_prefix=mem_prefix, br_prefix=br_prefix,
-            ins_prefix=ins_prefix,
-            regions=_find_regions(bs, stat.header_gbids),
-            anchors=_segment_cuts(bs, stat.header_gbids) if bs.size else None,
-            instructions=int(ins_prefix[-1]))
+    """Pack *trace* for one replay.
 
-    return _weak_get(_PACK_CACHE, trace, build)
-
-
-def pack_cache_size() -> int:
-    """Live entries in the trace-pack cache (observability/tests)."""
-    return len(_PACK_CACHE)
+    Built on every call and dropped with the replay: a cached pack
+    would live as long as its trace, and the engine keeps many traces.
+    """
+    bs = np.asarray(trace.block_seq, dtype=np.int64)
+    mem = np.asarray(trace.mem_addrs, dtype=np.int64)
+    br = np.asarray(trace.branch_log, dtype=np.int64)
+    if bs.size:
+        mem_counts = stat.nmem[bs]
+        br_counts = stat.nbr[bs]
+        ins_counts = stat.nins[bs]
+    else:
+        mem_counts = br_counts = ins_counts = np.zeros(0, dtype=np.int64)
+    return _TracePack(
+        bs=bs, bs_list=trace.block_seq, mem=mem, br=br,
+        mem_prefix=np.concatenate(([0], np.cumsum(mem_counts))),
+        br_prefix=np.concatenate(([0], np.cumsum(br_counts))),
+        anchors=_segment_cuts(bs, stat.header_gbids) if bs.size else None,
+        instructions=int(ins_counts.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -858,125 +715,60 @@ def _span_ooo(program, blocks, lo, hi, state, ready, rob, mem_lat, correct,
             mem_port, fp_port, md_port)
 
 
-def _steady_regions(pack: _TracePack, codes, correct, rob_size: int):
-    """Per-replay usable regions: block rows are periodic by
-    construction; latency codes and branch outcomes must be too (they
-    depend on the cache/predictor config).  Regions whose expected
-    skip savings cannot cover the lock's boundary-capture cost — each
-    capture canonicalizes the whole ROB, and the ROB must cycle through
-    ``rob_size`` completions before its relative contents can repeat —
-    are dropped up front.  Returns
-    ``(start, period, periods, warmup, mem_per, br_per)`` tuples.
-    """
-    usable = []
-    mem_prefix = pack.mem_prefix
-    br_prefix = pack.br_prefix
-    ins_prefix = pack.ins_prefix
-    capture_cost = 16 + rob_size // 3  # in interpreted-op equivalents
-    for start, period, periods in pack.regions:
-        if period <= _SEG_MAX_BLOCKS:
-            # The segment memo covers this loop: its header occurs
-            # every ``period`` blocks, so the region gets cut into
-            # memoizable segments whose content repeats period to
-            # period — no lock captures needed, and a carved-out
-            # region would only fragment those segments.  Locking is
-            # reserved for loops whose single iteration overflows a
-            # memo segment.
-            continue
-        mem_lo = int(mem_prefix[start])
-        mem_per = int(mem_prefix[start + period]) - mem_lo
-        br_lo = int(br_prefix[start])
-        br_per = int(br_prefix[start + period]) - br_lo
-        period_ops = int(ins_prefix[start + period]) - int(ins_prefix[start])
-        if not period_ops:
-            continue
-        steady = np.ones(periods - 1, dtype=bool)
-        if mem_per:
-            rows = codes[mem_lo:mem_lo + periods * mem_per]
-            rows = rows.reshape(periods, mem_per)
-            steady &= (rows[1:] == rows[:-1]).all(axis=1)
-        if br_per:
-            rows = correct[br_lo:br_lo + periods * br_per]
-            rows = rows.reshape(periods, br_per)
-            steady &= (rows[1:] == rows[:-1]).all(axis=1)
-        bad = np.flatnonzero(~steady)
-        warmup = int(bad[-1]) + 1 if bad.size else 0
-        lock_lag = rob_size // period_ops + 3  # periods until a lock can land
-        savings = (periods - warmup - lock_lag) * period_ops
-        if savings > lock_lag * capture_cost:
-            usable.append((start, period, periods, warmup, mem_per, br_per))
-    return usable
-
-
 def _canon_ready(ready, cycle):
     return tuple(sorted(
         (reg, when - cycle) for reg, when in ready.items() if when > cycle))
 
 
-#: The pipeline's steady state may repeat only every few loop
-#: iterations (e.g. a 2-wide dispatch over an odd-length body
-#: alternates slot phase), so boundary states are matched against the
-#: last ``_MAX_STRIDE`` boundaries, not just the previous one.
-_MAX_STRIDE = 6
-#: Boundary captures per region before giving up on a lock — bounds
-#: the capture overhead on regions whose state never settles.
-_MAX_ATTEMPTS = 24
+def _live_rob(rob, rob_size, cycle):
+    """The live ROB suffix relative to *cycle*, oldest first.
 
-
-def _gap_chunks(chunks, anchors, lo, hi):
-    """Append the memo segments covering ``[lo, hi)`` to *chunks*.
-
-    Splits the gap at every anchor occurrence inside it; with no
-    anchors the gap is one segment (too-long segments are interpreted,
-    not memoized, so this stays correct either way).
+    Its length fixes how many dispatches retire dead prefill slots
+    before the first live entry can stall; interior dead entries clamp
+    to 0 (they retire as no-ops either way), so this is the full ROB
+    influence on what follows.
     """
-    if hi <= lo:
-        return
+    head = rob[rob_size]
+    ring = rob[head:rob_size] + rob[:head]  # oldest first
+    idx = 0
+    while idx < rob_size and ring[idx] <= cycle:
+        idx += 1
+    return tuple(when - cycle if when > cycle else 0 for when in ring[idx:])
+
+
+def _segments(anchors, n):
+    """The memo segments covering ``[0, n)``: split at every anchor
+    occurrence, or one segment without anchors (too-long segments are
+    interpreted, not memoized, so this stays correct either way)."""
+    if not n:
+        return []
+    bounds = [0, n]
     if anchors is not None:
-        i0, i1 = np.searchsorted(anchors, (lo + 1, hi))
-        prev = lo
-        for cut in anchors[i0:i1].tolist():
-            chunks.append((prev, cut))
-            prev = cut
-        chunks.append((prev, hi))
-    else:
-        chunks.append((lo, hi))
+        i0, i1 = np.searchsorted(anchors, (1, n))
+        bounds[1:1] = anchors[i0:i1].tolist()
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _run_cycles(kind, program, pack, mem_lat, correct, regions, config,
-                codes=None, correct_arr=None, memo=None):
-    """Interpret the block sequence, skipping repeated work two ways.
+def _run_cycles(kind, program, pack, mem_lat, correct, config, codes,
+                correct_arr, memo):
+    """Interpret the block sequence, replaying memoized segments.
 
-    **Locked periodic regions** (from :func:`_steady_regions`): once two
-    period boundaries ``s`` periods apart show the same canonical
-    relative state (slots, live ready deltas, port deltas, ROB deltas —
-    entries at or below ``cycle`` are dead: every comparison they feed
-    is ``> issue`` with ``issue >= cycle``), each further stride of
-    ``s`` periods adds exactly ``delta`` cycles and consumes exactly
-    ``s`` rows of each stream — all scoreboard updates are max/plus on
-    cycle deltas, so the evolution is time-translation invariant — and
-    every remaining stride is applied arithmetically.
-    ``max_completion`` is skippable when the periodic part drives it
-    (it grew over the matched stride) or when ``delta == 0``
-    (completions repeat in place); otherwise the interpreter keeps
-    stepping periods until one of those holds.
-
-    **Memoized segments** (the gaps between locked regions, cut at
-    anchor-header occurrences): loops whose inner trip counts vary have
-    no fixed period, but their outer iterations still repeat — just not
-    consecutively.  Each segment is keyed by its exact content (block
-    ids, latency codes and branch outcomes as raw bytes — hashed at
-    C speed) plus the same canonical entry state the lock uses, and its
+    Loops whose inner trip counts vary have no fixed period, but their
+    outer iterations still repeat — just not consecutively.  The trace
+    is cut at anchor-header occurrences, and each segment is keyed by
+    its exact content (block ids, latency codes and branch outcomes as
+    raw bytes — hashed at C speed) plus its canonical entry state:
+    slots, live ready deltas, port deltas and the live ROB suffix
+    (entries at or below ``cycle`` are dead: every comparison they feed
+    is ``> issue`` with ``issue >= cycle``).  On a hit the segment's
     whole effect (cycle delta, out slots, live ready/port/ROB deltas,
-    completion-max delta) is replayed arithmetically on a hit.  The
-    same time-translation argument makes the replay exact; segments
-    entered with a live ROB (any entry above ``cycle``) are interpreted
-    instead, since their effect would not be translation-free.  The
-    memo dict is per (binary, timing-config) and so persists across
-    traces and replays.
+    completion-max delta) is applied arithmetically.  All scoreboard
+    updates are max/plus on cycle deltas, so the evolution is
+    time-translation invariant and the replay exact.  The memo dict is
+    per (binary, timing-config) and so persists across traces and
+    replays.
     """
     blocks = pack.bs_list
-    nblocks = len(blocks)
     width = config.width
     penalty = config.mispredict_penalty
     in_order = kind == "inorder"
@@ -998,171 +790,70 @@ def _run_cycles(kind, program, pack, mem_lat, correct, regions, config,
             return _span_ooo(program, blocks, lo, hi, state, ready, rob,
                              mem_lat, correct, width, penalty, rob_size)
 
-    use_memo = memo is not None and codes is not None
-    anchors = pack.anchors if use_memo else None
     mem_prefix = pack.mem_prefix
     br_prefix = pack.br_prefix
     bs = pack.bs
-
-    # The schedule: locked regions in trace order, the gaps between
-    # them cut into candidate memo segments.  Region chunks are the
-    # 6-tuples from _steady_regions, segments are (lo, hi) pairs.
-    chunks: list = []
-    gap_lo = 0
-    for region in regions:
-        _gap_chunks(chunks, anchors, gap_lo, region[0])
-        chunks.append(region)
-        gap_lo = region[0] + region[1] * region[2]
-    _gap_chunks(chunks, anchors, gap_lo, nblocks)
-
     state = (0, 0, 0, 0, 0, 0, 0, 0)
     ready: dict[int, int] = {}
-    for chunk in chunks:
-        if len(chunk) == 2:
-            lo, hi = chunk
-            if (not use_memo or hi - lo < _SEG_MIN_BLOCKS
-                    or hi - lo > _SEG_MAX_BLOCKS):
-                state = span(lo, hi, state, ready)
-                continue
-            cycle, slots = state[0], state[1]
-            if in_order:
-                rob_key = ()
-            else:
-                # The live ROB suffix, oldest first: the tuple length
-                # fixes how many dispatches retire dead prefill slots
-                # before the first live entry can stall, interior dead
-                # entries clamp to 0 (they retire as no-ops either
-                # way), so this is the full ROB influence on the
-                # segment.
-                head = rob[rob_size]
-                ring = rob[head:rob_size] + rob[:head]  # oldest first
-                idx = 0
-                while idx < rob_size and ring[idx] <= cycle:
-                    idx += 1
-                rob_key = tuple(
-                    when - cycle if when > cycle else 0
-                    for when in ring[idx:])
-            mem_lo, br_lo = state[3], state[4]
-            mem_hi = int(mem_prefix[hi])
-            br_hi = int(br_prefix[hi])
-            key = (bs[lo:hi].tobytes(),
-                   codes[mem_lo:mem_hi].tobytes(),
-                   correct_arr[br_lo:br_hi].tobytes(),
-                   slots, _canon_ready(ready, cycle),
-                   max(state[5] - cycle, 0),
-                   max(state[6] - cycle, 0),
-                   max(state[7] - cycle, 0),
-                   rob_key)
-            value = memo.get(key)
-            if SEG_DEBUG is not None:
-                which = "miss" if value is None else "hit"
-                SEG_DEBUG[which] = SEG_DEBUG.get(which, 0) + 1
-            if value is None:
-                mc_in = state[2]
-                # Run with max_completion zeroed: it is write-only in
-                # the spans, and starting from 0 yields the segment's
-                # own completion max — the translation-invariant part.
-                st = span(lo, hi, (cycle, slots, 0, mem_lo, br_lo,
-                                   state[5], state[6], state[7]), ready)
-                out_cycle = st[0]
-                seg_mc = st[2]
-                out_items = _canon_ready(ready, out_cycle)
-                ports = (max(st[5] - out_cycle, 0),
-                         max(st[6] - out_cycle, 0),
-                         max(st[7] - out_cycle, 0))
-                if in_order:
-                    live = ()
-                else:
-                    head = rob[rob_size]
-                    ring = rob[head:rob_size] + rob[:head]  # oldest first
-                    idx = 0
-                    while idx < rob_size and ring[idx] <= out_cycle:
-                        idx += 1
-                    live = tuple(
-                        when - out_cycle if when > out_cycle else 0
-                        for when in ring[idx:])
-                if len(memo) < _SEG_MEMO_CAP:
-                    memo[key] = (out_cycle - cycle, st[1],
-                                 seg_mc - cycle if seg_mc else 0,
-                                 out_items, ports, live)
-                state = (out_cycle, st[1],
-                         seg_mc if seg_mc > mc_in else mc_in,
-                         st[3], st[4], st[5], st[6], st[7])
-            else:
-                dcycle, slots_out, dmc, out_items, ports, live = value
-                out_cycle = cycle + dcycle
-                max_completion = state[2]
-                if dmc:
-                    cand = cycle + dmc
-                    if cand > max_completion:
-                        max_completion = cand
-                ready = {reg: out_cycle + d for reg, d in out_items}
-                if not in_order:
-                    rob[:rob_size] = ([0] * (rob_size - len(live))
-                                      + [out_cycle + d for d in live])
-                    rob[rob_size] = 0
-                state = (out_cycle, slots_out, max_completion,
-                         mem_hi, br_hi,
-                         out_cycle + ports[0], out_cycle + ports[1],
-                         out_cycle + ports[2])
+    for lo, hi in _segments(pack.anchors, len(blocks)):
+        if hi - lo < _SEG_MIN_BLOCKS or hi - lo > _SEG_MAX_BLOCKS:
+            state = span(lo, hi, state, ready)
             continue
-        start, period, periods, warmup, mem_per, br_per = chunk
-        pos = start + warmup * period
-        state = span(start, pos, state, ready)
-        done = warmup
-        history: list = []
-        attempts = 0
-        while done < periods:
-            state = span(pos, pos + period, state, ready)
-            pos += period
-            done += 1
-            if attempts >= _MAX_ATTEMPTS:
-                continue
-            attempts += 1
-            cycle, slots, max_completion = state[0], state[1], state[2]
-            if in_order:
-                rob_sig = None
-            else:
-                head = rob[rob_size]
-                ring = rob[head:rob_size] + rob[:head]  # oldest first
-                rob_sig = tuple(
-                    when - cycle if when > cycle else 0 for when in ring)
-            sig = (slots, _canon_ready(ready, cycle),
-                   max(state[5] - cycle, 0),
-                   max(state[6] - cycle, 0),
-                   max(state[7] - cycle, 0),
-                   rob_sig)
-            locked = False
-            for stride in range(1, min(len(history), _MAX_STRIDE) + 1):
-                past_sig, past_cycle, past_mc = history[-stride]
-                if sig != past_sig:
-                    continue
-                delta = cycle - past_cycle
-                strides = (periods - done) // stride
-                if strides and (delta == 0 or max_completion > past_mc):
-                    skipped = strides * stride
-                    cycle += strides * delta
-                    if delta:
-                        max_completion += strides * delta
-                    ready = {reg: cycle + d for reg, d in sig[1]}
-                    if not in_order:
-                        for i, d in enumerate(sig[5]):
-                            rob[i] = cycle + d
-                        rob[rob_size] = 0
-                    state = (cycle, slots, max_completion,
-                             state[3] + skipped * mem_per,
-                             state[4] + skipped * br_per,
-                             cycle + sig[2], cycle + sig[3], cycle + sig[4])
-                    pos += skipped * period
-                    done += skipped
-                    locked = True
-                break  # an equal-but-unskippable match: keep stepping
-            if locked:
-                # Leftover periods (< stride) may re-lock at stride 1.
-                history = []
-                attempts = 0
-                continue
-            history.append((sig, cycle, max_completion))
+        cycle, slots = state[0], state[1]
+        rob_key = () if in_order else _live_rob(rob, rob_size, cycle)
+        mem_lo, br_lo = state[3], state[4]
+        mem_hi = int(mem_prefix[hi])
+        br_hi = int(br_prefix[hi])
+        key = (bs[lo:hi].tobytes(),
+               codes[mem_lo:mem_hi].tobytes(),
+               correct_arr[br_lo:br_hi].tobytes(),
+               slots, _canon_ready(ready, cycle),
+               max(state[5] - cycle, 0),
+               max(state[6] - cycle, 0),
+               max(state[7] - cycle, 0),
+               rob_key)
+        value = memo.get(key)
+        if SEG_DEBUG is not None:
+            which = "miss" if value is None else "hit"
+            SEG_DEBUG[which] = SEG_DEBUG.get(which, 0) + 1
+        if value is None:
+            mc_in = state[2]
+            # Run with max_completion zeroed: it is write-only in
+            # the spans, and starting from 0 yields the segment's
+            # own completion max — the translation-invariant part.
+            st = span(lo, hi, (cycle, slots, 0, mem_lo, br_lo,
+                               state[5], state[6], state[7]), ready)
+            out_cycle = st[0]
+            seg_mc = st[2]
+            out_items = _canon_ready(ready, out_cycle)
+            ports = (max(st[5] - out_cycle, 0),
+                     max(st[6] - out_cycle, 0),
+                     max(st[7] - out_cycle, 0))
+            live = () if in_order else _live_rob(rob, rob_size, out_cycle)
+            if len(memo) < _SEG_MEMO_CAP:
+                memo[key] = (out_cycle - cycle, st[1],
+                             seg_mc - cycle if seg_mc else 0,
+                             out_items, ports, live)
+            state = (out_cycle, st[1],
+                     seg_mc if seg_mc > mc_in else mc_in,
+                     st[3], st[4], st[5], st[6], st[7])
+        else:
+            dcycle, slots_out, dmc, out_items, ports, live = value
+            out_cycle = cycle + dcycle
+            max_completion = state[2]
+            if dmc:
+                cand = cycle + dmc
+                if cand > max_completion:
+                    max_completion = cand
+            ready = {reg: out_cycle + d for reg, d in out_items}
+            if not in_order:
+                rob[:rob_size] = ([0] * (rob_size - len(live))
+                                  + [out_cycle + d for d in live])
+                rob[rob_size] = 0
+            state = (out_cycle, slots_out, max_completion,
+                     mem_hi, br_hi,
+                     out_cycle + ports[0], out_cycle + ports[1],
+                     out_cycle + ports[2])
     return max(state[0], state[2])
 
 
@@ -1195,8 +886,6 @@ def replay_trace(model, trace, decoded=None) -> TimingResult:
         [config.l1_hit_cycles, config.l2_hit_cycles, config.memory_cycles],
         dtype=np.int64)
     mem_lat = lat_by_code[codes].tolist()
-    regions = _steady_regions(pack, codes, correct,
-                              0 if kind == "inorder" else config.rob_size)
     # Segment memos are valid for exactly one timing behavior: the
     # cache/predictor configs are covered by the latency-code/outcome
     # bytes inside each key, everything else must scope the dict.
@@ -1207,8 +896,7 @@ def replay_trace(model, trace, decoded=None) -> TimingResult:
                    tuple(sorted(config.latencies.items())))
     memo = stat.memos.setdefault(fingerprint, {})
     cycles = _run_cycles(kind, program, pack, mem_lat, correct.tolist(),
-                         regions, config, codes=codes, correct_arr=correct,
-                         memo=memo)
+                         config, codes, correct, memo)
     return TimingResult(
         cycles=int(cycles),
         instructions=pack.instructions,

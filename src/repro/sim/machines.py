@@ -89,6 +89,13 @@ class MachineSpec:
     predictor_entries: int = 4096
     in_order: bool = False
 
+    def __post_init__(self):
+        # Both would index an empty ROB ring / predictor table.
+        for axis in ("rob", "predictor_entries"):
+            if getattr(self, axis) < 1:
+                raise ValueError(f"{axis} must be >= 1, "
+                                 f"got {getattr(self, axis)!r}")
+
     def build(self) -> Machine:
         if self.isa not in ISA_BY_NAME:
             raise KeyError(

@@ -14,9 +14,12 @@ This module is the **replay core** every cycle model builds on:
   binary on N machine configurations decodes once, not N times — for
   direct :meth:`Machine.simulate` calls just as much as for
   engine-routed replay tasks;
-* :class:`TimingModel` — the shared session scaffolding (cache
-  hierarchy, branch predictor, result assembly).  Subclasses implement
-  only the hot ``replay(trace, decoded)`` loop.
+* :class:`TimingModel` — the shared model scaffolding.
+  :meth:`TimingModel.simulate` replays on the batched kernel
+  (:func:`repro.sim.kernels.replay_trace`); each subclass also keeps a
+  per-instruction ``replay(trace, decoded)`` loop over a fresh cache
+  hierarchy and branch predictor, the test oracle the kernel is pinned
+  to byte for byte.
 
 Register keys: integer registers are their index; float registers are
 ``1000 + index`` (the two files never collide).
@@ -66,11 +69,6 @@ class TimingConfig:
     mispredict_penalty: int = 12
     predictor_entries: int = 4096
     latencies: dict = field(default_factory=lambda: dict(DEFAULT_LATENCIES))
-    #: Replay kernel: "python", "numpy" or "auto"; ``None`` defers to
-    #: the ``REPRO_SIM_KERNEL`` environment variable (default "auto").
-    #: Not a microarchitecture axis — kernels are byte-identical, so
-    #: content addressing (``MachineSpec.fingerprint``) ignores it.
-    kernel: str | None = None
 
 
 @dataclass
@@ -271,29 +269,26 @@ def decode_cache_size() -> int:
 
 
 class TimingModel:
-    """Shared replay core for the trace-driven cycle models.
+    """Shared core for the trace-driven cycle models.
 
-    Owns everything the models have in common — configuration, the
-    cache hierarchy and branch predictor session state, decode lookup,
-    and result assembly.  Subclasses implement :meth:`replay`, the hot
-    per-instruction loop, against an explicit :class:`DecodedBinary`
-    (so callers holding a cached decode skip even the cache probe).
+    :meth:`simulate` replays on the batched kernel, which reads the
+    subclass's :attr:`kernel_kind`.  Subclasses also implement
+    :meth:`replay`, the per-instruction oracle loop, against an explicit
+    :class:`DecodedBinary`; the shared session state and result
+    assembly below serve that loop.
     """
 
-    #: Set by subclasses the batched kernels understand ("inorder" /
-    #: "ooo"); models that leave it unset always replay in python.
+    #: Which batched interpreter replays this model ("inorder" /
+    #: "ooo"); :meth:`simulate` raises ``ValueError`` when it is unset.
     kernel_kind: str | None = None
 
     def __init__(self, config: TimingConfig | None = None):
         self.config = config or TimingConfig()
 
     def simulate(self, trace) -> TimingResult:
-        decoded = decode_binary(trace.binary)
         from repro.sim import kernels  # deferred: kernels imports this module
 
-        if kernels.select_kernel(self, trace) == "numpy":
-            return kernels.replay_trace(self, trace, decoded)
-        return self.replay(trace, decoded)
+        return kernels.replay_trace(self, trace, decode_binary(trace.binary))
 
     def replay(self, trace, decoded: DecodedBinary) -> TimingResult:
         raise NotImplementedError

@@ -47,6 +47,14 @@ class TestNormalize:
                 "machine": {"l7_kb": 1},
             })
 
+    @pytest.mark.parametrize("axis", ["rob", "predictor_entries"])
+    def test_rejects_empty_rob_or_predictor(self, axis):
+        with pytest.raises(BadRequest, match=axis):
+            normalize_request({
+                "kind": "replay", "workload": PAIR[0], "input": "small",
+                "machine": {axis: 0},
+            })
+
     def test_rejects_unknown_preset(self):
         with pytest.raises(BadRequest, match="unknown preset"):
             normalize_request({"kind": "sweep", "preset": "galaxy"})

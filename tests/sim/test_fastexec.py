@@ -1,4 +1,5 @@
-"""Fast-engine equivalence suite: python vs fast must be byte-identical.
+"""Fast-engine equivalence suite: the fast engine against the reference
+interpreter (``Simulator._run_python``, the oracle) must be byte-identical.
 
 The fast engine's contract is pickle-equality of the full
 :class:`ExecutionTrace` — block sequence, memory-address stream, branch
@@ -65,11 +66,12 @@ class TestTraceEquivalence:
     def test_untraced_byte_identical(self, workload, input_name):
         assert_equivalent(binary_for(workload, input_name), collect_trace=False)
 
-    @pytest.mark.parametrize("workload,input_name", SAMPLE_PAIRS[:3])
-    def test_memo_kill_switch_byte_identical(self, workload, input_name,
-                                             monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_MEMO", "0")
-        assert_equivalent(binary_for(workload, input_name), collect_trace=True)
+    def test_run_binary_matches_oracle(self):
+        """The public entry point runs the fast engine, same bytes as
+        the oracle."""
+        binary = binary_for("crc32", "small")
+        assert (pickle.dumps(run_binary(binary))
+                == pickle.dumps(Simulator(binary)._run_python(True)))
 
 
 class TestTrapParity:
@@ -127,32 +129,6 @@ class TestTrapParity:
             f"int main() {{ poke({idx}); return 0; }}",
             "x86", 0).binary
         self.assert_same_trap(binary, "store out of range")
-
-
-class TestSelection:
-    def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_EXEC", raising=False)
-        assert fastexec.select_exec() == "fast"
-
-    @pytest.mark.parametrize("choice", ["python", "fast"])
-    def test_explicit_choice(self, choice, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_EXEC", choice)
-        assert fastexec.select_exec() == choice
-
-    def test_unknown_choice_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_EXEC", "numpy")
-        with pytest.raises(ValueError, match="REPRO_SIM_EXEC"):
-            fastexec.select_exec()
-
-    def test_run_binary_routes_by_env(self, monkeypatch):
-        """The public entry point honors the selector and both routes
-        agree byte-for-byte."""
-        binary = binary_for("crc32", "small")
-        monkeypatch.setenv("REPRO_SIM_EXEC", "python")
-        via_python = run_binary(binary)
-        monkeypatch.setenv("REPRO_SIM_EXEC", "fast")
-        via_fast = run_binary(binary)
-        assert pickle.dumps(via_python) == pickle.dumps(via_fast)
 
 
 class TestSegmentMemo:

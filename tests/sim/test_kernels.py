@@ -1,19 +1,21 @@
-"""Batched replay kernels: byte-identical equivalence + selection.
+"""Batched replay kernel, pinned to the per-instruction oracle models.
 
 The contract under test is absolute: for every trace and every
-configuration, :func:`repro.sim.kernels.replay_trace` must produce a
-:class:`TimingResult` whose *pickle bytes* equal the pure-python
-model's — scalars and exp-histogram snapshots alike.  Equivalence is
-checked three ways:
+configuration, :func:`repro.sim.kernels.replay_trace` (what
+``TimingModel.simulate`` runs) must produce a :class:`TimingResult`
+whose *pickle bytes* equal the oracle ``model.replay``'s — scalars and
+exp-histogram snapshots alike.  Equivalence is checked four ways:
 
 * real workload traces (a cross-section of the suite's small inputs,
   both cycle models; every pair + Table III machine with
   ``REPRO_KERNEL_EQUIV_ALL=1``);
 * the five Table III machines on one trace (distinct cache/ROB/width
   geometries, in-order and out-of-order);
+* tiny traces (one instruction, no memory or branches, up to a short
+  recursive program) under every machine and both models;
 * seeded random mutations of a real trace (addresses and branch
-  outcomes rewritten), so the segment memo and periodic-region paths
-  see streams no real program produces.
+  outcomes rewritten), so the segment memo sees streams no real
+  program produces.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.sim.functional import run_binary
 from repro.sim.inorder import InOrderModel
 from repro.sim.machines import MACHINES
 from repro.sim.ooo import OutOfOrderModel
-from repro.sim.timing_common import TimingConfig, decode_binary
+from repro.sim.timing_common import TimingConfig, TimingModel, decode_binary
 from repro.sim.trace import ExecutionTrace
 from repro.workloads import WORKLOADS
 
@@ -160,77 +162,63 @@ class TestRandomTraceProperty:
         assert_equivalent(OutOfOrderModel(config), trace)
 
 
-class TestSelection:
-    def _long_trace(self):
-        return trace_for("crc32", "small")  # ~196k instrs > threshold
-
-    def test_auto_picks_numpy_past_threshold(self):
-        assert kernels.select_kernel(
-            OutOfOrderModel(), self._long_trace()) == "numpy"
-
-    def test_auto_keeps_python_below_threshold(self, fib_source):
-        trace = run_binary(compile_program(fib_source, "x86", 0).binary)
-        assert trace.instructions < kernels.AUTO_THRESHOLD
-        assert kernels.select_kernel(OutOfOrderModel(), trace) == "python"
-
-    def test_threshold_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_KERNEL_THRESHOLD", "1")
-        monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
-        trace = self._long_trace()
-        assert kernels.select_kernel(InOrderModel(), trace) == "numpy"
-        monkeypatch.setenv("REPRO_SIM_KERNEL_THRESHOLD",
-                           str(trace.instructions + 1))
-        assert kernels.select_kernel(InOrderModel(), trace) == "python"
-
-    def test_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "numpy")
-        model = OutOfOrderModel(TimingConfig(kernel="python"))
-        assert kernels.select_kernel(model, self._long_trace()) == "python"
-
-    def test_env_selects_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "python")
-        assert kernels.select_kernel(
-            OutOfOrderModel(), self._long_trace()) == "python"
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "numpy")
-        assert kernels.select_kernel(
-            OutOfOrderModel(), self._long_trace()) == "numpy"
-
-    def test_unknown_kernel_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "fortran")
-        with pytest.raises(ValueError, match="fortran"):
-            kernels.select_kernel(OutOfOrderModel(), self._long_trace())
-
-    def test_unbatched_model_falls_back_with_warning(self, monkeypatch):
-        class Oddball:
-            config = TimingConfig(kernel="numpy")
-
-        monkeypatch.setattr(kernels, "_warned_fallback", False)
-        with pytest.warns(RuntimeWarning, match="no batched kernel"):
-            assert kernels.select_kernel(Oddball(), self._long_trace()) \
-                == "python"
-        # One-time warning: a second call is silent.
-        assert kernels.select_kernel(Oddball(), self._long_trace()) \
-            == "python"
-
-    def test_simulate_dispatch_is_byte_identical(self):
-        """The TimingModel.simulate hook end to end: explicit numpy vs
-        explicit python via config, same bytes out."""
-        trace = self._long_trace()
-        fast = OutOfOrderModel(TimingConfig(kernel="numpy")).simulate(trace)
-        slow = OutOfOrderModel(TimingConfig(kernel="python")).simulate(trace)
-        assert pickle.dumps(fast) == pickle.dumps(slow)
+#: Short traces, each far below the length the kernel's fixed packing
+#: cost used to be weighed against; "empty" is one instruction with no
+#: memory access and no branch.
+TINY_SOURCES = {
+    "empty": "int main(){return 0;}",
+    "printf": 'int main() { printf("%d %d\\n", 3, 4); return 0; }',
+    "store-loop": ("int t[8];\n"
+                   "int main() { int i; for (i = 0; i < 8; i = i + 1) "
+                   "{ t[i] = i; } return 0; }"),
+}
 
 
-class TestPackCacheLifetime:
-    def test_pack_dies_with_its_trace(self, loopy_source):
+@pytest.fixture(scope="module")
+def tiny_traces(fib_source):
+    sources = dict(TINY_SOURCES, fib=fib_source)
+    return {name: run_binary(compile_program(source, "x86", 0).binary)
+            for name, source in sources.items()}
+
+
+class TestShortTraces:
+    @pytest.mark.parametrize("name", [*TINY_SOURCES, "fib"])
+    @pytest.mark.parametrize("model_cls", [InOrderModel, OutOfOrderModel])
+    @pytest.mark.parametrize("machine", MACHINES, ids=lambda m: m.name)
+    def test_tiny_trace_byte_identical(self, tiny_traces, name, model_cls,
+                                       machine):
+        assert_equivalent(model_cls(machine.timing), tiny_traces[name])
+
+    @pytest.mark.parametrize("length", ["short", "long"])
+    @pytest.mark.parametrize("model_cls", [InOrderModel, OutOfOrderModel])
+    def test_simulate_matches_oracle_replay(self, tiny_traces, length,
+                                            model_cls):
+        """``TimingModel.simulate`` end to end against the oracle loop."""
+        trace = (tiny_traces["fib"] if length == "short"
+                 else trace_for("crc32", "small"))
+        model = model_cls()
+        oracle = model.replay(trace, decode_binary(trace.binary))
+        assert pickle.dumps(model.simulate(trace)) == pickle.dumps(oracle)
+
+    def test_unbatched_model_rejected(self, tiny_traces):
+        class Oddball(TimingModel):
+            pass
+
+        with pytest.raises(ValueError, match="no batched kernel"):
+            Oddball().simulate(tiny_traces["fib"])
+
+
+class TestStatCacheLifetime:
+    def test_stat_dies_with_its_binary(self, loopy_source):
+        gc.collect()  # flush earlier tests' cyclic garbage first
         binary = compile_program(loopy_source, "x86", 0).binary
         trace = run_binary(binary)
-        before = kernels.pack_cache_size()
+        before = len(kernels._STAT_CACHE)
         kernels.replay_trace(InOrderModel(), trace)
-        assert kernels.pack_cache_size() == before + 1
-        del trace
+        assert len(kernels._STAT_CACHE) == before + 1
+        del trace, binary
         gc.collect()
-        assert kernels.pack_cache_size() == before
+        assert len(kernels._STAT_CACHE) == before
 
 
 class TestPredictorVectorization:

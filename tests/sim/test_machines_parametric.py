@@ -113,6 +113,21 @@ class TestSpecConstruction:
         with pytest.raises(TypeError):
             spec_from_axes(l3_kb=1024)
 
+    @pytest.mark.parametrize("axis", ["rob", "predictor_entries"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_empty_rob_or_predictor_rejected(self, axis, value):
+        """A zero or negative ROB / predictor table would make the
+        oracle models index an empty table and the replay kernel run on
+        a -1 mask: the spec refuses it up front."""
+        with pytest.raises(ValueError, match=axis):
+            MachineSpec(name="bad", **{axis: value})
+        with pytest.raises(ValueError, match=axis):
+            spec_from_axes(**{axis: value})
+
+    def test_smallest_rob_and_predictor_accepted(self, trace):
+        machine = machine_from_axes(rob=1, predictor_entries=1)
+        assert machine.simulate(trace).cycles > 0
+
     def test_in_order_machines_use_the_inorder_model(self, trace):
         ooo = machine_from_axes(width=4)
         ino = machine_from_axes(width=4, in_order=True)
